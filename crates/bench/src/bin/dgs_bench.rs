@@ -122,19 +122,23 @@ fn run_executors_area(args: &Args) {
 }
 
 fn run_update_area(args: &Args) {
-    use dgs_bench::update::{run_update, UpdateConfig};
+    use dgs_bench::update::{check_update, measure_update, UpdateConfig};
     let cfg = if args.test {
         UpdateConfig::smoke()
     } else {
         UpdateConfig::default()
     };
     println!("## trajectory: update\n");
-    for r in run_update(&cfg) {
+    // Print every stream before the bars are checked, so a failed bar
+    // still shows what was measured.
+    let reports = measure_update(&cfg);
+    for r in &reports {
         println!(
             "{:<13} {:>6} ops  incremental {:>8.2} ms ({:>9.0} ops/s)  baseline {:>8.2} ms  x{:.2}",
             r.label, r.ops, r.incremental_ms, r.ops_per_sec, r.rebuild_ms, r.speedup
         );
     }
+    check_update(&cfg, &reports);
 }
 
 fn run_serving_area(args: &Args) {

@@ -32,5 +32,5 @@ pub use plot::render_plot;
 pub use report::{print_sweep, write_csv};
 pub use serving::{run_serving, ServingConfig, ServingReport};
 pub use trajectory::{run_executors, TrajectoryConfig};
-pub use update::{run_update, StreamReport, UpdateConfig};
+pub use update::{check_update, measure_update, run_update, StreamReport, UpdateConfig};
 pub use workloads::Workloads;

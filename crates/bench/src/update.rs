@@ -324,25 +324,35 @@ fn run_insert_only(cfg: &UpdateConfig, g: &Graph, assign: &[usize], q: &Pattern)
     }
 }
 
-/// Runs the four streams of the update experiment. Panics if any
-/// maintained answer deviates from its baseline, if a delete-only or
-/// insert-only stream fails to serve every post-batch query from the
-/// maintained cache, or (at the default scale) if maintenance is not
-/// ≥ 5× faster than its baseline — cold rebuild for delete-heavy,
-/// invalidate + re-plan for insert-only.
+/// Runs the four streams of the update experiment and checks them
+/// with [`check_update`].
 pub fn run_update(cfg: &UpdateConfig) -> Vec<StreamReport> {
+    let reports = measure_update(cfg);
+    check_update(cfg, &reports);
+    reports
+}
+
+/// Measures the four streams of the update experiment. Panics if any
+/// maintained answer deviates from its baseline.
+pub fn measure_update(cfg: &UpdateConfig) -> Vec<StreamReport> {
     let w = social::fig1();
     let q = w.pattern.clone();
     let g = social::social_network(cfg.nodes, 4 * cfg.nodes, 8, &q, 25, cfg.seed);
     let assign = hash_partition(g.node_count(), cfg.sites, cfg.seed);
 
-    let reports = vec![
+    vec![
         run_stream("delete-heavy", cfg, &g, &assign, &q, 1.0),
         run_insert_only(cfg, &g, &assign, &q),
         run_stream("insert-heavy", cfg, &g, &assign, &q, 0.1),
         run_stream("mixed", cfg, &g, &assign, &q, 0.5),
-    ];
+    ]
+}
 
+/// Panics if a delete-only or insert-only stream failed to serve every
+/// post-batch query from the maintained cache, or (at the default
+/// scale) if maintenance is not ≥ 5× faster than its baseline — cold
+/// rebuild for delete-heavy, invalidate + re-plan for insert-only.
+pub fn check_update(cfg: &UpdateConfig, reports: &[StreamReport]) {
     let delete_heavy = &reports[0];
     assert_eq!(
         delete_heavy.post_batch_hits, cfg.batches as u64,
@@ -367,7 +377,6 @@ pub fn run_update(cfg: &UpdateConfig) -> Vec<StreamReport> {
             insert_only.speedup
         );
     }
-    reports
 }
 
 #[cfg(test)]

@@ -13,16 +13,41 @@
 //!   in-node falsifications to its subscriber sites, exactly like dGPM
 //!   data messages. No full re-evaluation happens.
 //! * **Insertions only grow** the relation, and are repaired by a
-//!   bounded distributed re-refinement (the protocol analogue of
-//!   `dgs_sim::IncrementalSim::insert_edges`). Each site computes its
-//!   slice of the affected area `AFF` — the backward closure of the
-//!   inserted edges' source nodes — with [`UpdateMsg::Affected`]
-//!   carrying the closure across fragment boundaries whenever a marked
-//!   in-node's candidacy may change at a subscriber. Affected pairs
-//!   are optimistically revived to label compatibility, their counters
-//!   rebuilt, and the standard downward refinement re-run with
-//!   non-affected candidacy frozen; resurrections flow back at gather,
-//!   symmetric to the falsification path.
+//!   bounded distributed re-refinement over a **pair-level** affected
+//!   area `AFF`: the pairs that were false after the deletion phase
+//!   and might flip to true. For an inserted edge `(u, v)` and each
+//!   query edge `(up, uc)`, the pair `(up, u)` is a *seed* when
+//!   `label(u) = label(up)`, `label(v) = label(uc)` and `(up, u)` is
+//!   false (the test on `v` is label-only, so seeding does not depend
+//!   on when `v`'s candidacy row reaches a fresh virtual slot). `AFF`
+//!   closes backward: from a marked `(uc, w)`, every predecessor `p`
+//!   of `w` and query edge `(up, uc)` marks `(up, p)` when that pair is
+//!   label-compatible and false. [`UpdateMsg::Affected`] carries marked
+//!   in-node pairs to the subscriber sites, so the closure crosses
+//!   fragment borders pair by pair. Marked pairs are optimistically
+//!   revived, and the standard downward refinement re-runs over them
+//!   with every unmarked pair frozen; resurrections flow back at
+//!   gather, symmetric to the falsification path.
+//!
+//!   *Soundness.* Let `N` be the pairs that become true. If some part
+//!   `X ⊆ N` were unmarked, every `(u, v) ∈ X` would keep, for each
+//!   query edge, a witness over an old edge (an inserted one would
+//!   have seeded it) whose pair is either true after the deletion
+//!   phase or in `X` (a marked one would have marked it by closure).
+//!   Then the relation after the deletion phase plus `X` would be a
+//!   simulation of the graph without the insertions, contradicting
+//!   maximality. So a pair that becomes true reaches an inserted edge
+//!   through pairs that also became true, and `N ⊆ AFF`.
+//!
+//!   *Exact counters.* Refinement needs `cnt` to equal, for every
+//!   `(slot, query edge)`, the number of successors whose target pair
+//!   holds — an invariant `from_relation`, the deletion path and the
+//!   kill cascade maintain after every run. Insertions keep it with
+//!   two increments at `Refine`: `+1` on the source for each inserted
+//!   edge whose target pair holds, and `+1` on every predecessor for
+//!   each revived pair. Every step of a run then walks the marked
+//!   list, never the fragment, so a run's work is proportional to
+//!   `AFF` and the edges around it.
 //!
 //! Every batch shape is maintained: deletions run first (on the
 //! pre-insertion adjacency — the engine rejects an edge appearing in
@@ -51,7 +76,7 @@ use crate::vars::Var;
 use dgs_graph::{NodeId, Pattern};
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteDeltaMetrics, SiteLogic, WireSize};
 use dgs_partition::{Fragmentation, SiteId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// A batch of edge updates against the loaded graph.
@@ -176,7 +201,7 @@ pub struct MaintainedDiff {
 /// idempotent — a re-delivered deletion finds the edge already gone, a
 /// re-delivered insertion finds it already present, a re-delivered
 /// falsification finds the variable already false, a re-delivered mark
-/// finds the node already marked, and a re-delivered candidacy row
+/// finds the pair already marked, and a re-delivered candidacy row
 /// overwrites with the same values — so at-least-once delivery cannot
 /// change the maintained relation. `ShipCand`, `Refine`, and
 /// `GatherRequest` are control; `Revoked` and `Resurrected` are
@@ -192,11 +217,11 @@ pub enum UpdateMsg {
     /// Falsified in-node variables (data; site → subscriber site) —
     /// exactly dGPM's `lMsg`.
     Falsified(Vec<Var>),
-    /// Global ids of in-nodes that entered the affected area at their
-    /// owner (data; owner → subscriber sites, marking phase). The
-    /// subscriber marks its virtual copy and continues the backward
+    /// In-node pairs that entered the affected area at their owner
+    /// (data; owner → subscriber sites, marking phase). The subscriber
+    /// marks the pair on its virtual copy and continues the backward
     /// closure locally — this is how `AFF` crosses fragment borders.
-    Affected(Vec<u32>),
+    Affected(Vec<Var>),
     /// Current candidacy of in-nodes that a new crossing insertion
     /// targets: `(global id, query nodes it matches)` (data; owner →
     /// the inserting site, marking phase). Seeds fresh or revived
@@ -206,8 +231,8 @@ pub enum UpdateMsg {
     /// [`UpdateMsg::CandRow`] to the given destination site, as
     /// `(dest site, global id)` (control; coordinator → owner).
     ShipCand(Vec<(u32, u32)>),
-    /// Marking is globally quiescent: revive affected pairs, rebuild
-    /// their counters, and re-run refinement (control; coordinator →
+    /// Marking is globally quiescent: revive affected pairs, credit
+    /// their support, and re-run refinement (control; coordinator →
     /// all sites).
     Refine,
     /// Result collection request (control; coordinator → sites).
@@ -227,9 +252,9 @@ impl WireSize for UpdateMsg {
                 4 + 8 * ops.len()
             }
             UpdateMsg::Falsified(vars)
+            | UpdateMsg::Affected(vars)
             | UpdateMsg::Revoked(vars)
             | UpdateMsg::Resurrected(vars) => vars.wire_size(),
-            UpdateMsg::Affected(gids) => 4 + 4 * gids.len(),
             UpdateMsg::CandRow(rows) => {
                 4 + rows
                     .iter()
@@ -255,7 +280,10 @@ pub struct DeltaSiteState {
     pred: Vec<Vec<u32>>,
     /// Candidacy of `X(u, idx)`: `cand[idx * nq + u]`.
     cand: Vec<bool>,
-    /// Support counters: `cnt[e * n + idx]`.
+    /// Support counters, exact after every run: `cnt[idx * ne + e]` is
+    /// the number of successors of `idx` whose target pair of query
+    /// edge `e` holds. Slot-major like `cand`, so new virtual slots
+    /// append.
     cnt: Vec<u32>,
 }
 
@@ -285,12 +313,13 @@ impl DeltaSiteState {
             }
         }
         let qedges: Vec<(u16, u16)> = q.edges().map(|(a, b)| (a.0, b.0)).collect();
-        let mut cnt = vec![0u32; qedges.len() * n];
+        let ne = qedges.len();
+        let mut cnt = vec![0u32; n * ne];
         for (idx, ss) in succ.iter().enumerate() {
             for &s in ss {
                 for (e, &(_, uc)) in qedges.iter().enumerate() {
                     if cand[s as usize * nq + uc as usize] {
-                        cnt[e * n + idx] += 1;
+                        cnt[idx * ne + e] += 1;
                     }
                 }
             }
@@ -334,19 +363,22 @@ pub struct DeltaSiteLogic {
     parent_edges: Vec<Vec<(usize, u16)>>,
     /// Per query node: indices of its out-edges (refinement seeding).
     out_edges: Vec<Vec<usize>>,
-    /// Pattern node labels, for optimistic revival of affected pairs.
+    /// Pattern node labels, for the label-compatibility test of marks.
     qlabels: Vec<dgs_graph::Label>,
     st: DeltaSiteState,
     phase: SitePhase,
-    /// Nodes in this site's slice of `AFF` (sized with the state once
-    /// marking starts).
-    marked: Vec<bool>,
+    /// This site's slice of `AFF` as `(query node, slot)` pairs, local
+    /// and virtual, in marking order. Every listed pair was false
+    /// after the deletion phase.
+    marked: Vec<(u16, u32)>,
+    /// Membership index of `marked`.
+    is_marked: HashSet<(u16, u32)>,
+    /// Edges this run inserted into the state's adjacency, as slot
+    /// pairs; their support is credited at `Refine`.
+    inserted: Vec<(u32, u32)>,
     /// Falsifications that arrived from an already-refining site while
     /// this one was still marking; replayed right after revival.
     pending_falsified: Vec<Var>,
-    /// Candidacy snapshot taken at `Refine`, before revival — the
-    /// reference for computing resurrections.
-    pre_refine: Vec<bool>,
     /// Local pairs falsified during the deletion phase (filtered
     /// against the final candidacy and shipped at gather).
     revoked: Vec<Var>,
@@ -380,8 +412,9 @@ impl DeltaSiteLogic {
             st,
             phase: SitePhase::Deleting,
             marked: Vec::new(),
+            is_marked: HashSet::new(),
+            inserted: Vec::new(),
             pending_falsified: Vec::new(),
-            pre_refine: Vec::new(),
             revoked: Vec::new(),
             in_refine: false,
             ops: 0,
@@ -425,13 +458,13 @@ impl DeltaSiteLogic {
         // iteration can falsify a pair of v itself, and the counters
         // hold the *pre-deletion* support — the cascade for the
         // falsified pair is `propagate`'s job.
-        let (n, nq) = (self.st.n, self.st.nq);
+        let (nq, ne) = (self.st.nq, self.qedges.len());
         let vcand: Vec<bool> = (0..nq).map(|uc| self.st.cand[vi * nq + uc]).collect();
         let mut worklist = Vec::new();
         for (e, &(uq, uc)) in self.qedges.iter().enumerate() {
             self.ops += 1;
             if vcand[uc as usize] {
-                let c = &mut self.st.cnt[e * n + ui];
+                let c = &mut self.st.cnt[ui * ne + e];
                 debug_assert!(*c > 0, "support counter underflow");
                 *c -= 1;
                 if *c == 0 && self.st.cand[ui * nq + uq as usize] {
@@ -446,18 +479,18 @@ impl DeltaSiteLogic {
     /// The downward worklist (the incremental `lEval` of §4.2 over
     /// this fragment): records revoked local pairs and returns the
     /// falsified in-node variables — what `lMsg` must ship.
-    ///
-    /// This is the fragment-local sibling of
-    /// `dgs_sim::IncrementalSim::propagate` (global graph, transposed
-    /// `cand` layout, no shipping) — a counter-scheme change there
-    /// almost certainly applies here too.
     fn propagate(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Var> {
         let f = self.frag.fragment(self.site);
         let st = &mut self.st;
-        let (n, nq) = (st.n, st.nq);
+        let (nq, ne) = (st.nq, self.qedges.len());
         let n_local = f.n_local();
         let mut falsified_in_nodes = Vec::new();
         while let Some((uq, idx)) = worklist.pop() {
+            // Refinement only kills what it optimistically revived.
+            debug_assert!(
+                !self.in_refine || self.is_marked.contains(&(uq, idx)),
+                "refinement falsified a previously-true pair"
+            );
             if (idx as usize) < n_local {
                 let var = Var {
                     q: uq,
@@ -472,10 +505,10 @@ impl DeltaSiteLogic {
                 }
             }
             for &(e, up) in &self.parent_edges[uq as usize] {
-                for i in 0..st.pred[idx as usize].len() {
-                    let vp = st.pred[idx as usize][i] as usize;
+                for &vp in &st.pred[idx as usize] {
+                    let vp = vp as usize;
                     self.ops += 1;
-                    let c = &mut st.cnt[e * n + vp];
+                    let c = &mut st.cnt[vp * ne + e];
                     debug_assert!(*c > 0, "support counter underflow");
                     *c -= 1;
                     if *c == 0 && st.cand[vp * nq + up as usize] {
@@ -512,81 +545,82 @@ impl DeltaSiteLogic {
 
     /// Enters the marking phase on first contact: grows the state to
     /// the post-delta fragment (crossing insertions can append or
-    /// revive virtual slots) and sizes the mark set. Idempotent.
+    /// revive virtual slots). Idempotent.
     fn enter_marking(&mut self) {
         if self.phase != SitePhase::Deleting {
             return;
         }
         self.phase = SitePhase::Marking;
-        let frag = Arc::clone(&self.frag);
-        let f = frag.fragment(self.site);
-        let new_n = f.n_total();
+        let new_n = self.frag.fragment(self.site).n_total();
         let st = &mut self.st;
         if new_n > st.n {
             st.succ.resize(new_n, Vec::new());
             st.pred.resize(new_n, Vec::new());
-            // `cand` is index-major, so existing rows keep their
-            // offsets; `cnt` is edge-major over `n` and must be
-            // re-laid-out.
+            // Both tables are slot-major: fresh slots append.
             st.cand.resize(new_n * st.nq, false);
-            let ne = self.qedges.len();
-            let mut cnt = vec![0u32; ne * new_n];
-            for e in 0..ne {
-                cnt[e * new_n..e * new_n + st.n].copy_from_slice(&st.cnt[e * st.n..(e + 1) * st.n]);
-            }
-            st.cnt = cnt;
+            st.cnt.resize(new_n * self.qedges.len(), 0);
             st.n = new_n;
         }
-        self.marked = vec![false; st.n];
     }
 
-    /// Marks `seeds` and closes backward over this fragment's
-    /// predecessors (always local indices — virtual nodes have no
-    /// out-edges). Whenever a *local in-node* enters the affected
-    /// area, its subscribers are told via [`UpdateMsg::Affected`] so
-    /// the closure continues across the border.
-    fn mark_from(&mut self, seeds: Vec<u32>, out: &mut Outbox<UpdateMsg>) {
+    /// Adds `seeds` to this site's slice of `AFF` and closes backward
+    /// over this fragment's predecessors (always local slots — virtual
+    /// nodes have no out-edges): from a marked `(uc, w)`, each
+    /// predecessor `p` and query edge `(up, uc)` marks `(up, p)` if it
+    /// is label-compatible and false. Seeds are marked as given. Every
+    /// marked *local in-node* pair is forwarded to the node's
+    /// subscribers via [`UpdateMsg::Affected`], so the closure
+    /// continues across the border.
+    fn mark_from(&mut self, seeds: Vec<(u16, u32)>, out: &mut Outbox<UpdateMsg>) {
         let frag = Arc::clone(&self.frag);
         let f = frag.fragment(self.site);
-        let mut per_site: BTreeMap<SiteId, Vec<u32>> = BTreeMap::new();
-        let mut stack = Vec::new();
-        let mut visit = |idx: u32, marked: &mut Vec<bool>, stack: &mut Vec<u32>| {
-            if marked[idx as usize] {
-                return;
-            }
-            marked[idx as usize] = true;
-            stack.push(idx);
-            if !f.is_virtual(idx) {
-                if let Some(pos) = f.in_node_pos(idx) {
+        let nq = self.st.nq;
+        let mut per_site: BTreeMap<SiteId, Vec<Var>> = BTreeMap::new();
+        let mut stack: Vec<(u16, u32)> = seeds
+            .into_iter()
+            .filter(|&pair| self.is_marked.insert(pair))
+            .collect();
+        while let Some((uc, w)) = stack.pop() {
+            self.marked.push((uc, w));
+            if !f.is_virtual(w) {
+                self.stats.pairs_marked += 1;
+                if let Some(pos) = f.in_node_pos(w) {
+                    let var = Var {
+                        q: uc,
+                        node: f.global_id(w).0,
+                    };
                     for &s in f.in_node_subscribers(pos) {
-                        per_site.entry(s).or_default().push(f.global_id(idx).0);
+                        per_site.entry(s).or_default().push(var);
                     }
                 }
             }
-        };
-        for idx in seeds {
-            visit(idx, &mut self.marked, &mut stack);
-        }
-        while let Some(idx) = stack.pop() {
-            for i in 0..self.st.pred[idx as usize].len() {
-                let p = self.st.pred[idx as usize][i];
-                self.ops += 1;
-                visit(p, &mut self.marked, &mut stack);
+            for &(_, up) in &self.parent_edges[uc as usize] {
+                let lbl = self.qlabels[up as usize];
+                for &p in &self.st.pred[w as usize] {
+                    self.ops += 1;
+                    if f.label(p) == lbl
+                        && !self.st.cand[p as usize * nq + up as usize]
+                        && self.is_marked.insert((up, p))
+                    {
+                        stack.push((up, p));
+                    }
+                }
             }
         }
-        for (s, gids) in per_site {
-            out.send(Endpoint::Site(s as u32), UpdateMsg::Affected(gids));
+        for (s, vars) in per_site {
+            out.send(Endpoint::Site(s as u32), UpdateMsg::Affected(vars));
         }
     }
 
     /// Applies one routed insertion batch (marking phase): edges enter
     /// this state's own adjacency (idempotently, so re-delivery is a
-    /// no-op) and their source nodes seed the affected-area closure.
-    /// Counters are *not* touched here — every marked node's counters
-    /// are rebuilt wholesale at `Refine`.
+    /// no-op) and seed the affected area. Counters are *not* touched
+    /// here — the new edges' support is credited at `Refine`, once
+    /// every candidacy row has arrived.
     fn apply_insertions(&mut self, pairs: Vec<(u32, u32)>, out: &mut Outbox<UpdateMsg>) {
         let frag = Arc::clone(&self.frag);
         let f = frag.fragment(self.site);
+        let nq = self.st.nq;
         let mut seeds = Vec::new();
         for (u, v) in pairs {
             let ui = f
@@ -604,7 +638,17 @@ impl DeltaSiteLogic {
                 .expect_err("reverse edge tracked symmetrically");
             self.st.pred[vi as usize].insert(ppos, ui);
             self.stats.ops_applied += 1;
-            seeds.push(ui);
+            self.inserted.push((ui, vi));
+            let (lu, lv) = (f.label(ui), f.label(vi));
+            for &(up, uc) in &self.qedges {
+                self.ops += 1;
+                if self.qlabels[up as usize] == lu
+                    && self.qlabels[uc as usize] == lv
+                    && !self.st.cand[ui as usize * nq + up as usize]
+                {
+                    seeds.push((up, ui));
+                }
+            }
         }
         self.mark_from(seeds, out);
     }
@@ -641,60 +685,58 @@ impl DeltaSiteLogic {
         self.propagate(worklist)
     }
 
-    /// Marking is globally quiescent: optimistically revive every
-    /// affected pair, rebuild affected counters, and re-run the
-    /// downward refinement with non-affected candidacy frozen as the
-    /// boundary. Buffered out-of-phase falsifications replay after
-    /// revival so they cannot be lost.
+    /// Marking is globally quiescent: credit the inserted edges'
+    /// support, optimistically revive every marked pair (crediting its
+    /// predecessors), and re-run the downward refinement from the
+    /// marked local pairs left without support — unmarked candidacy is
+    /// frozen as the boundary. Buffered out-of-phase falsifications
+    /// replay after revival so they cannot be lost.
     fn refine(&mut self, out: &mut Outbox<UpdateMsg>) {
         if self.phase == SitePhase::Refining {
             return;
         }
         self.enter_marking();
         self.phase = SitePhase::Refining;
-        self.pre_refine = self.st.cand.clone();
-        let frag = Arc::clone(&self.frag);
-        let f = frag.fragment(self.site);
-        let (n, nq) = (self.st.n, self.st.nq);
-        for idx in 0..n {
-            if !self.marked[idx] {
-                continue;
-            }
-            self.ops += 1;
-            let lbl = f.label(idx as u32);
-            for (u, &ql) in self.qlabels.iter().enumerate() {
-                self.st.cand[idx * nq + u] = ql == lbl;
-            }
-        }
-        for idx in 0..n {
-            if !self.marked[idx] {
-                continue;
-            }
+        let n_local = self.frag.fragment(self.site).n_local();
+        let (nq, ne) = (self.st.nq, self.qedges.len());
+        let st = &mut self.st;
+        // Each inserted edge supports its source wherever its target
+        // pair holds after the deletion phase (every `CandRow` has
+        // landed by now)...
+        for &(ui, vi) in &self.inserted {
             for (e, &(_, uc)) in self.qedges.iter().enumerate() {
                 self.ops += 1;
-                self.st.cnt[e * n + idx] = self.st.succ[idx]
-                    .iter()
-                    .filter(|&&w| self.st.cand[w as usize * nq + uc as usize])
-                    .count() as u32;
+                if st.cand[vi as usize * nq + uc as usize] {
+                    st.cnt[ui as usize * ne + e] += 1;
+                }
             }
         }
-        // Seed from affected *local* pairs that lack support. Virtual
+        // ...and each revived pair supports every predecessor, over old
+        // and inserted edges alike. Together these keep `cnt` exact.
+        for &(uc, w) in &self.marked {
+            let slot = w as usize * nq + uc as usize;
+            debug_assert!(!st.cand[slot], "marked pair was false after deletion");
+            st.cand[slot] = true;
+            for &(e, _) in &self.parent_edges[uc as usize] {
+                for &p in &st.pred[w as usize] {
+                    self.ops += 1;
+                    st.cnt[p as usize * ne + e] += 1;
+                }
+            }
+        }
+        // Seed from marked *local* pairs that lack support. Virtual
         // slots are never seeded locally: their support lives at the
         // owner, which ships falsifications if they die.
         let mut worklist = Vec::new();
-        for idx in 0..f.n_local() {
-            if !self.marked[idx] {
-                continue;
-            }
-            for u in 0..nq {
-                if self.st.cand[idx * nq + u]
-                    && self.out_edges[u]
-                        .iter()
-                        .any(|&e| self.st.cnt[e * n + idx] == 0)
-                {
-                    self.st.cand[idx * nq + u] = false;
-                    worklist.push((u as u16, idx as u32));
-                }
+        for &(u, idx) in &self.marked {
+            let i = idx as usize;
+            if i < n_local
+                && self.out_edges[u as usize]
+                    .iter()
+                    .any(|&e| st.cnt[i * ne + e] == 0)
+            {
+                st.cand[i * nq + u as usize] = false;
+                worklist.push((u, idx));
             }
         }
         self.in_refine = true;
@@ -706,14 +748,14 @@ impl DeltaSiteLogic {
 
     /// Reconciles this run's result against the final candidacy:
     /// deletion-phase revocations that refinement resurrected cancel
-    /// out, and resurrections are pairs that are in the relation now
-    /// but were not before the batch.
+    /// out, and resurrections are the marked local pairs that survived
+    /// refinement (every marked pair was false before it).
     fn gather(&mut self, out: &mut Outbox<UpdateMsg>) {
         let frag = Arc::clone(&self.frag);
         let f = frag.fragment(self.site);
         let nq = self.st.nq;
         let taken = std::mem::take(&mut self.revoked);
-        let was_revoked: std::collections::HashSet<Var> = taken.iter().copied().collect();
+        let was_revoked: HashSet<Var> = taken.iter().copied().collect();
         let before = taken.len() as u64;
         let revoked: Vec<Var> = taken
             .into_iter()
@@ -723,33 +765,19 @@ impl DeltaSiteLogic {
             })
             .collect();
         self.stats.pairs_revoked -= before - revoked.len() as u64;
-        let mut resurrected = Vec::new();
-        if self.phase == SitePhase::Refining {
-            for idx in 0..f.n_local() {
-                if !self.marked[idx] {
-                    continue;
-                }
-                for u in 0..nq {
-                    let slot = idx * nq + u;
-                    debug_assert!(
-                        self.st.cand[slot] || !self.pre_refine[slot],
-                        "refinement falsified a previously-true pair"
-                    );
-                    if self.st.cand[slot] && !self.pre_refine[slot] {
-                        let var = Var {
-                            q: u as u16,
-                            node: f.global_id(idx as u32).0,
-                        };
-                        // A pair revoked by this batch's deletions and
-                        // revived by its insertions nets out: it never
-                        // left the relation.
-                        if !was_revoked.contains(&var) {
-                            resurrected.push(var);
-                        }
-                    }
-                }
-            }
-        }
+        let mut resurrected: Vec<Var> = self
+            .marked
+            .iter()
+            .filter(|&&(u, idx)| !f.is_virtual(idx) && self.st.cand[idx as usize * nq + u as usize])
+            .map(|&(u, idx)| Var {
+                q: u,
+                node: f.global_id(idx).0,
+            })
+            // A pair revoked by this batch's deletions and revived by
+            // its insertions nets out: it never left the relation.
+            .filter(|var| !was_revoked.contains(var))
+            .collect();
+        resurrected.sort_unstable();
         self.stats.pairs_resurrected += resurrected.len() as u64;
         out.send_result(Endpoint::Coordinator, UpdateMsg::Revoked(revoked));
         if !resurrected.is_empty() {
@@ -792,15 +820,19 @@ impl SiteLogic<UpdateMsg> for DeltaSiteLogic {
                 self.enter_marking();
                 self.apply_insertions(pairs, out);
             }
-            UpdateMsg::Affected(gids) => {
+            UpdateMsg::Affected(vars) => {
                 self.enter_marking();
                 let frag = Arc::clone(&self.frag);
                 let f = frag.fragment(self.site);
-                let seeds = gids
+                // The owner already checked label and falsity; this
+                // copy's row may still await its `CandRow`.
+                let seeds = vars
                     .into_iter()
-                    .map(|gid| {
-                        f.index_of(NodeId(gid))
-                            .expect("affected in-node has a subscribed slot here")
+                    .map(|var| {
+                        let idx = f
+                            .index_of(var.node_id())
+                            .expect("affected in-node has a subscribed slot here");
+                        (var.q, idx)
                     })
                     .collect();
                 self.mark_from(seeds, out);
@@ -1381,6 +1413,191 @@ mod tests {
         }
     }
 
+    /// Asserts that a carried-over site state equals the one
+    /// `from_relation` rebuilds from the maintained rows on the
+    /// post-batch fragmentation: adjacency and counters everywhere,
+    /// candidacy on local and live virtual slots. (A retired virtual
+    /// slot keeps a stale row; it has no predecessors, so no counter
+    /// reads it, and a revival overwrites it with a `CandRow`.)
+    fn assert_state_exact(
+        carried: &DeltaSiteState,
+        frag: &Fragmentation,
+        site: SiteId,
+        q: &Pattern,
+        rows: &[Vec<NodeId>],
+        ctx: &str,
+    ) {
+        let fresh = DeltaSiteState::from_relation(frag, site, q, rows);
+        let f = frag.fragment(site);
+        assert_eq!(carried.n, fresh.n, "{ctx}: slot count");
+        assert_eq!(carried.succ, fresh.succ, "{ctx}: successors");
+        assert_eq!(carried.pred, fresh.pred, "{ctx}: predecessors");
+        assert_eq!(carried.cnt, fresh.cnt, "{ctx}: support counters");
+        let nq = fresh.nq;
+        for idx in 0..fresh.n as u32 {
+            if f.is_virtual(idx) && !f.is_live_virtual(idx) {
+                continue;
+            }
+            let row = idx as usize * nq..(idx as usize + 1) * nq;
+            assert_eq!(
+                carried.cand[row.clone()],
+                fresh.cand[row],
+                "{ctx}: candidacy of slot {idx}"
+            );
+        }
+    }
+
+    /// `q` plus a self-loop on query node 0.
+    fn with_self_loop(q: &Pattern) -> Pattern {
+        let mut b = dgs_graph::PatternBuilder::new();
+        for u in q.nodes() {
+            b.add_node(q.label(u));
+        }
+        for (u, c) in q.edges() {
+            b.add_edge(u, c);
+        }
+        b.add_edge(dgs_graph::QNodeId(0), dgs_graph::QNodeId(0));
+        b.build()
+    }
+
+    /// Runs a stream shaped like the benchmark's write_mix deltas —
+    /// every batch deletes 2 present edges and re-inserts the 2 oldest
+    /// deleted ones — through the protocol, carrying the site states
+    /// from batch to batch. After every batch the revoked and
+    /// resurrected pairs must rebuild the oracle rows, and every
+    /// carried state must equal a fresh rebuild.
+    fn check_write_mix_stream(n: usize, k: usize, seed: u64, self_loop_q: bool, dup: bool) {
+        use dgs_net::{FaultPlan, VirtualExecutor};
+        use std::collections::{BTreeSet, VecDeque};
+        let g0 = random::web_like(n, 4 * n, 3, seed);
+        let mut present: BTreeSet<(NodeId, NodeId)> = g0.edges().collect();
+        // Self-loops in G: some present from the start, deleted and
+        // re-inserted by the stream below.
+        for v in 0..3 {
+            present.insert((NodeId(v), NodeId(v)));
+        }
+        let labels: Vec<dgs_graph::Label> = g0.nodes().map(|v| g0.label(v)).collect();
+        let build = |edges: &BTreeSet<(NodeId, NodeId)>| {
+            let mut b = GraphBuilder::new();
+            for &l in &labels {
+                b.add_node(l);
+            }
+            for &(u, v) in edges {
+                b.add_edge(u, v);
+            }
+            b.build()
+        };
+        let q = patterns::random_cyclic(3, 5, 3, seed ^ 0x77);
+        let q = if self_loop_q { with_self_loop(&q) } else { q };
+        let assign = hash_partition(n, k, seed);
+        let mut frag = Arc::new(Fragmentation::build(&build(&present), &assign, k));
+        let mut rows = rows_of(&q, &build(&present));
+        let mut states: Vec<DeltaSiteState> = (0..k)
+            .map(|s| DeltaSiteState::from_relation(&frag, s, &q, &rows))
+            .collect();
+        let mut deleted: VecDeque<(NodeId, NodeId)> = VecDeque::new();
+        let mut rng = seed | 1;
+        let (mut crossing_ins, mut loop_ins) = (0, 0);
+        for batch in 0..8 {
+            let insertions: Vec<(NodeId, NodeId)> =
+                (0..2).filter_map(|_| deleted.pop_front()).collect();
+            let mut deletions = Vec::new();
+            // Delete a self-loop so a later batch re-inserts it.
+            if batch == 1 && present.remove(&(NodeId(1), NodeId(1))) {
+                deletions.push((NodeId(1), NodeId(1)));
+            }
+            while deletions.len() < 2 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let e = *present
+                    .iter()
+                    .nth(rng as usize % present.len())
+                    .expect("graph keeps edges");
+                present.remove(&e);
+                deletions.push(e);
+            }
+            crossing_ins += insertions
+                .iter()
+                .filter(|&&(u, v)| frag.owner(u) != frag.owner(v))
+                .count();
+            loop_ins += insertions.iter().filter(|&&(u, v)| u == v).count();
+            present.extend(insertions.iter().copied());
+            deleted.extend(deletions.iter().copied());
+
+            let ops: Vec<dgs_partition::EdgeOp> = insertions
+                .iter()
+                .map(|&(u, v)| dgs_partition::EdgeOp::Insert(u, v))
+                .chain(
+                    deletions
+                        .iter()
+                        .map(|&(u, v)| dgs_partition::EdgeOp::Delete(u, v)),
+                )
+                .collect();
+            let mut next = (*frag).clone();
+            next.apply_delta(&ops);
+            let next = Arc::new(next);
+            let (coord, sites) = build_maintenance(&next, &q, states, &deletions, &insertions);
+            let mut exec = VirtualExecutor::new(CostModel::default());
+            if dup {
+                exec = exec.with_faults(FaultPlan::duplicating(1.0, seed ^ batch));
+            }
+            let o = exec.run(coord, sites);
+
+            let ctx = format!("seed {seed} k {k} batch {batch} dup {dup}");
+            for var in &o.coordinator.revoked {
+                let row = &mut rows[var.q as usize];
+                let pos = row
+                    .binary_search(&var.node_id())
+                    .unwrap_or_else(|_| panic!("{ctx}: revoked pair was not in the relation"));
+                row.remove(pos);
+            }
+            for var in &o.coordinator.resurrected {
+                let row = &mut rows[var.q as usize];
+                let pos = row
+                    .binary_search(&var.node_id())
+                    .expect_err("resurrected pair was already in the relation");
+                row.insert(pos, var.node_id());
+            }
+            assert_eq!(rows, rows_of(&q, &build(&present)), "{ctx}: rows");
+            states = o
+                .sites
+                .into_iter()
+                .map(DeltaSiteLogic::into_state)
+                .collect();
+            for (s, st) in states.iter().enumerate() {
+                assert_state_exact(st, &next, s, &q, &rows, &format!("{ctx} site {s}"));
+            }
+            frag = next;
+        }
+        assert!(
+            crossing_ins > 0,
+            "seed {seed}: stream had no crossing insertion"
+        );
+        assert!(loop_ins > 0, "seed {seed}: stream re-inserted no self-loop");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The exact-counter invariant the pair-level affected area
+        /// relies on, pinned at the protocol level: on write_mix-shaped
+        /// streams with crossing insertions and self-loops in both `G`
+        /// and `Q`, every batch rebuilds the oracle rows and leaves
+        /// every site's state equal to a fresh rebuild — with and
+        /// without every data message delivered twice.
+        #[test]
+        fn write_mix_streams_keep_states_exact(
+            n in 40usize..90,
+            k in 2usize..5,
+            seed in proptest::prelude::any::<u64>(),
+            self_loop_q in proptest::prelude::any::<bool>(),
+        ) {
+            check_write_mix_stream(n, k, seed, self_loop_q, false);
+            check_write_mix_stream(n, k, seed, self_loop_q, true);
+        }
+    }
+
     #[test]
     fn wire_sizes() {
         assert_eq!(UpdateMsg::GatherRequest.wire_size(), 1);
@@ -1388,13 +1605,14 @@ mod tests {
         assert_eq!(UpdateMsg::Ops(vec![(1, 2), (3, 4)]).wire_size(), 1 + 4 + 16);
         assert_eq!(UpdateMsg::InsOps(vec![(1, 2)]).wire_size(), 1 + 4 + 8);
         assert_eq!(UpdateMsg::ShipCand(vec![(0, 9)]).wire_size(), 1 + 4 + 8);
-        assert_eq!(UpdateMsg::Affected(vec![1, 2, 3]).wire_size(), 1 + 4 + 12);
+
         assert_eq!(
             UpdateMsg::CandRow(vec![(4, vec![0, 2])]).wire_size(),
             1 + 4 + (4 + 2 + 4)
         );
         let v = vec![Var { q: 0, node: 7 }];
         assert_eq!(UpdateMsg::Falsified(v.clone()).wire_size(), 1 + 4 + 6);
+        assert_eq!(UpdateMsg::Affected(v.clone()).wire_size(), 1 + 4 + 6);
         assert_eq!(UpdateMsg::Revoked(v.clone()).wire_size(), 1 + 4 + 6);
         assert_eq!(UpdateMsg::Resurrected(v).wire_size(), 1 + 4 + 6);
     }

@@ -68,6 +68,9 @@ pub struct SiteDeltaMetrics {
     pub pairs_revoked: u64,
     /// Local match pairs resurrected by insertion-side maintenance.
     pub pairs_resurrected: u64,
+    /// Local pairs in this site's slice of the insertion-side affected
+    /// area `AFF` (the pairs maintenance revived and re-refined).
+    pub pairs_marked: u64,
 }
 
 impl SiteDeltaMetrics {
@@ -79,6 +82,7 @@ impl SiteDeltaMetrics {
         self.falsifications_shipped += other.falsifications_shipped;
         self.pairs_revoked += other.pairs_revoked;
         self.pairs_resurrected += other.pairs_resurrected;
+        self.pairs_marked += other.pairs_marked;
     }
 }
 

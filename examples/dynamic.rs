@@ -5,8 +5,8 @@
 //! update on its fragment and ships in-node falsifications to its
 //! subscriber sites, exactly like dGPM data messages — so the warm
 //! cache keeps answering with **zero** protocol runs. Insertions can
-//! revive candidates from above, so they conservatively invalidate
-//! the cache and the next query re-plans.
+//! revive candidates from above: maintenance re-refines only the pairs
+//! the new edge can flip, and the cache keeps answering.
 //!
 //! ```text
 //! cargo run --release --example dynamic
@@ -71,30 +71,26 @@ fn main() {
         );
     }
 
-    // One new follow edge: the relation may grow, so the cache is
-    // conservatively invalidated and the next query re-plans.
+    // One new follow edge: the relation may grow. Maintenance marks
+    // the pairs the edge can flip, re-refines only those, and the
+    // entry stays maintained.
     let (u, v) = edges[0];
     let report = engine
         .apply_delta(&GraphDelta::insertions([(v, u)]))
         .unwrap();
+    assert_eq!(report.maintained_entries, 1);
     println!(
-        "\ninsertion: +{} edge, invalidated {} cached entr{} (generation {})",
+        "\ninsertion: +{} edge, {} affected pair(s) re-refined, {} resurrected (generation {})",
         report.inserted,
-        report.invalidated_entries,
-        if report.invalidated_entries == 1 {
-            "y"
-        } else {
-            "ies"
-        },
+        report.per_site.iter().map(|s| s.pairs_marked).sum::<u64>(),
+        report.resurrected_pairs,
         report.generation
     );
     let fresh = engine.query(&pattern).unwrap();
-    assert_eq!(fresh.metrics.cache_hits, 0);
+    assert_eq!(fresh.metrics.cache_hits, 1);
     println!(
-        "re-planned query: {} pairs via {} ({} data msgs)",
-        fresh.relation.len(),
-        fresh.algorithm,
-        fresh.metrics.data_messages
+        "warm query: {} pairs, still served from the maintained entry",
+        fresh.relation.len()
     );
 
     // The session stayed exact throughout.

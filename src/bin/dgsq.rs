@@ -395,9 +395,11 @@ fn replay_updates(engine: &SimEngine, algo: &Algorithm, qs: &[Pattern], path: &s
             report.generation
         );
         if report.maintained_entries > 0 {
+            let marked: u64 = report.per_site.iter().map(|s| s.pairs_marked).sum();
             println!(
                 "  maintained {} cached entr{} incrementally: {} pairs revoked, \
-                 {} data msgs ({} B) of falsification traffic",
+                 {} resurrected from {} affected pairs, {} data msgs ({} B) of \
+                 maintenance traffic",
                 report.maintained_entries,
                 if report.maintained_entries == 1 {
                     "y"
@@ -405,6 +407,8 @@ fn replay_updates(engine: &SimEngine, algo: &Algorithm, qs: &[Pattern], path: &s
                     "ies"
                 },
                 report.revoked_pairs,
+                report.resurrected_pairs,
+                marked,
                 report.metrics.data_messages,
                 report.metrics.data_bytes
             );

@@ -552,3 +552,148 @@ fn isomorphic_resubmission_hits_maintained_entry() {
         hhk_simulation(&q_iso, &engine.graph()).relation
     );
 }
+
+/// The work-bound fixture: a chain `a_0 → … → a_{k-1} → s` of label-0
+/// nodes, each `a_i` with a label-1 child `b_i → a_{i+1}`, so the whole
+/// graph lies upstream of `s`. A label-2 node `c → s` and an isolated
+/// label-1 node `t` complete it. Pattern `p2 → p0 → p1` (labels 2, 0,
+/// 1): every `(p0, a_i)` holds, `(p0, s)` and `(p2, c)` do not.
+fn upstream_chain(n: usize) -> (Graph, Pattern, (NodeId, NodeId)) {
+    let k = (n - 3) / 2;
+    let mut b = GraphBuilder::new();
+    let a: Vec<NodeId> = (0..k).map(|_| b.add_node(Label(0))).collect();
+    let bs: Vec<NodeId> = (0..k).map(|_| b.add_node(Label(1))).collect();
+    let s = b.add_node(Label(0));
+    let c = b.add_node(Label(2));
+    let t = b.add_node(Label(1));
+    for i in 0..k {
+        b.add_edge(a[i], bs[i]);
+        let next = if i + 1 < k { a[i + 1] } else { s };
+        b.add_edge(a[i], next);
+        b.add_edge(bs[i], next);
+    }
+    b.add_edge(c, s);
+    let mut pb = PatternBuilder::new();
+    let p0 = pb.add_node(Label(0));
+    let p1 = pb.add_node(Label(1));
+    let p2 = pb.add_node(Label(2));
+    pb.add_edge(p0, p1);
+    pb.add_edge(p2, p0);
+    (b.build(), pb.build(), (s, t))
+}
+
+/// Pins the pair-level affected area: the inserted edge's source has
+/// the whole graph in its backward closure, but the only false
+/// label-compatible pairs that can flip are `(p0, s)` and `(p2, c)`.
+/// So maintenance marks the same number of pairs at n = 200 and at
+/// n = 2000, where a node-level closure grows with `n`.
+#[test]
+fn insertion_work_is_bounded_by_the_pairs_it_can_flip() {
+    let marked_at = |n: usize| {
+        let (g, q, edge) = upstream_chain(n);
+        let assign = hash_partition(g.node_count(), 4, 5);
+        let frag = Arc::new(Fragmentation::build(&g, &assign, 4));
+        let engine = SimEngine::builder(&g, frag).build();
+        engine.query(&q).unwrap();
+        let delta = GraphDelta::insertions([edge]);
+        let report = engine.apply_delta(&delta).unwrap();
+        assert_eq!(report.maintained_entries, 1);
+        assert_eq!(report.resurrected_pairs, 2, "(p0, s) and (p2, c) flip");
+        let warm = engine.query(&q).unwrap();
+        assert_eq!(warm.metrics.cache_hits, 1);
+        assert_eq!(
+            warm.relation,
+            hhk_simulation(&q, &mutated(&g, &delta)).relation
+        );
+        report.per_site.iter().map(|s| s.pairs_marked).sum::<u64>()
+    };
+    let small = marked_at(200);
+    assert_eq!(small, 2);
+    assert_eq!(marked_at(2000), small);
+}
+
+/// Breaking the adversarial ring kills every pair, and re-inserting
+/// the closing edge must resurrect all of them. The revived pairs
+/// support each other in a cycle, so only the optimistic re-refinement
+/// finds the fixpoint from above; on one site and across three.
+#[test]
+fn ring_mend_resurrects_every_pair() {
+    use dgs::graph::generate::adversarial;
+    let n = 20;
+    let q = adversarial::q0();
+    let g = adversarial::cycle_graph(n);
+    let closing = (adversarial::b_node(n), adversarial::a_node(1));
+    for k in [1, 3] {
+        let assign = hash_partition(g.node_count(), k, 11);
+        let frag = Arc::new(Fragmentation::build(&g, &assign, k));
+        let engine = SimEngine::builder(&g, frag).build();
+        assert!(engine.query(&q).unwrap().relation.is_total());
+
+        let broken = engine
+            .apply_delta(&GraphDelta::deletions([closing]))
+            .unwrap();
+        assert_eq!(broken.revoked_pairs, 2 * n as u64, "k = {k}");
+        assert!(engine.query(&q).unwrap().relation.is_empty());
+
+        let mended = engine
+            .apply_delta(&GraphDelta::insertions([closing]))
+            .unwrap();
+        assert_eq!(mended.resurrected_pairs, 2 * n as u64, "k = {k}");
+        let warm = engine.query(&q).unwrap();
+        assert_eq!(warm.metrics.cache_hits, 1);
+        assert!(warm.relation.is_total());
+        assert_eq!(warm.relation, hhk_simulation(&q, &g).relation);
+    }
+}
+
+/// Deleting a self-loop `(v, v)` can falsify a pair of `v` itself
+/// mid-update; the support decrement for the other query edges must
+/// still use the pre-deletion candidacy, or `v` survives with phantom
+/// support. Re-inserting the loop must then resurrect the relation.
+#[test]
+fn self_loop_delete_and_reinsert_stay_exact() {
+    // A 2-cycle plus extra edges, all one label, so every query edge
+    // targets the same node row.
+    let mut pb = PatternBuilder::new();
+    let a = pb.add_node(Label(0));
+    let b = pb.add_node(Label(0));
+    let c = pb.add_node(Label(0));
+    pb.add_edge(a, b);
+    pb.add_edge(b, a);
+    pb.add_edge(b, c);
+    pb.add_edge(c, a);
+    pb.add_edge(c, b);
+    let q = pb.build();
+    // A self-loop node plus a feeder.
+    let mut gb = GraphBuilder::new();
+    let s = gb.add_node(Label(0));
+    let t = gb.add_node(Label(0));
+    gb.add_edge(s, s);
+    gb.add_edge(t, s);
+    let g = gb.build();
+    for k in [1, 2] {
+        let frag = Arc::new(Fragmentation::build(&g, &[0, k - 1], k));
+        let engine = SimEngine::builder(&g, frag).build();
+        assert_eq!(
+            engine.query(&q).unwrap().relation,
+            hhk_simulation(&q, &g).relation
+        );
+
+        let del = GraphDelta::deletions([(s, s)]);
+        engine.apply_delta(&del).unwrap();
+        let cut = engine.query(&q).unwrap();
+        assert_eq!(cut.metrics.cache_hits, 1);
+        assert!(cut.relation.is_empty(), "k = {k}");
+        assert_eq!(
+            cut.relation,
+            hhk_simulation(&q, &mutated(&g, &del)).relation
+        );
+
+        engine
+            .apply_delta(&GraphDelta::insertions([(s, s)]))
+            .unwrap();
+        let back = engine.query(&q).unwrap();
+        assert_eq!(back.metrics.cache_hits, 1);
+        assert_eq!(back.relation, hhk_simulation(&q, &g).relation, "k = {k}");
+    }
+}
