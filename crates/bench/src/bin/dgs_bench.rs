@@ -7,9 +7,9 @@
 //! ```
 //!
 //! `--area executors` re-measures the single-query hot path (bitset
-//! kernels vs the HashSet reference, intra-query fragment parallelism
-//! vs the sequential site loop), prints the trajectory report, and
-//! with `--json` writes the versioned `BENCH_executors.json` artifact.
+//! kernels vs the HashSet reference, distributed per-query latency),
+//! prints the trajectory report, and with `--json` writes the
+//! versioned `BENCH_executors.json` artifact.
 //! `--baseline FILE` compares the fresh run against a committed
 //! snapshot and **exits nonzero** when any measure regressed more
 //! than 20% past the envelope — this is the CI gate.

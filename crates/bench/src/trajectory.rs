@@ -9,10 +9,10 @@
 //!   HashSet-of-pairs reference kernel
 //!   ([`dgs_sim::hashset_simulation`]) against the flat bitset kernel
 //!   ([`dgs_sim::hhk_simulation`]) on the same query stream (the
-//!   representation win, gated ≥ 2×), and the distributed engine with
-//!   one intra-query worker against the pooled fan-out (the
-//!   parallelism win). Every timed pair is also checked for answer
-//!   equality, so the trajectory run doubles as a conformance pass.
+//!   representation win, gated ≥ 2×), and the distributed engine's
+//!   per-query latency on the same stream. Every distributed answer is
+//!   also checked against the centralized kernels, so the trajectory
+//!   run doubles as a conformance pass.
 //!   Emits a versioned [`ExecutorsSnapshot`] (`BENCH_executors.json`).
 //! * `update` — the delta-maintenance throughput streams of
 //!   [`crate::update`].
@@ -106,7 +106,7 @@ fn time_kernel(
 }
 
 /// Runs the executors-area trajectory: kernel representation win +
-/// intra-query parallelism win, with answer-equality asserts
+/// distributed per-query latency, with answer-equality asserts
 /// throughout. Panics if any pair of legs disagrees on an answer —
 /// a trajectory number for a wrong answer is worthless.
 pub fn run_executors(cfg: &TrajectoryConfig) -> ExecutorsSnapshot {
@@ -126,53 +126,23 @@ pub fn run_executors(cfg: &TrajectoryConfig) -> ExecutorsSnapshot {
         );
     }
 
-    // Leg 2 — intra-query parallelism: the same distributed session,
-    // queried one pattern at a time, with the per-fragment Phase-1
-    // fan-out forced off (1 worker) and then on (the builder default).
+    // Leg 2 — the distributed engine on the same stream, queried one
+    // pattern at a time.
     let assign = hash_partition(g.node_count(), cfg.sites, cfg.seed);
     let frag = Arc::new(Fragmentation::build(&g, &assign, cfg.sites));
-    let sequential = dgs_core::SimEngine::builder(&g, Arc::clone(&frag))
-        .batch_workers(1)
-        .cache(false)
-        .build();
-    let parallel = dgs_core::SimEngine::builder(&g, frag).cache(false).build();
-
-    let (seq_reports, seq_query_ms) = time_ms(|| {
-        queries
-            .iter()
-            .map(|q| sequential.query(q).expect("trajectory query"))
-            .collect::<Vec<_>>()
-    });
+    let engine = dgs_core::SimEngine::builder(&g, frag).cache(false).build();
     let mut latency = LatencyHistogram::new();
-    let (par_reports, par_query_ms) = time_ms(|| {
-        queries
-            .iter()
-            .map(|q| {
-                let t0 = Instant::now();
-                let r = parallel.query(q).expect("trajectory query");
-                latency.record_duration(t0.elapsed());
-                r
-            })
-            .collect::<Vec<_>>()
-    });
-    for (i, (a, b)) in seq_reports.iter().zip(&par_reports).enumerate() {
+    for (i, q) in queries.iter().enumerate() {
+        let t0 = Instant::now();
+        let r = engine.query(q).expect("trajectory query");
+        latency.record_duration(t0.elapsed());
         assert_eq!(
-            a.relation, b.relation,
-            "intra-query parallel answer diverges on query {i}"
-        );
-        assert_eq!(
-            bs[i].relation, b.relation,
+            bs[i].relation, r.relation,
             "distributed answer diverges from the centralized kernel on query {i}"
         );
     }
 
-    ExecutorsSnapshot::of_run(
-        hashset_kernel_ms,
-        bitset_kernel_ms,
-        seq_query_ms,
-        par_query_ms,
-        &latency,
-    )
+    ExecutorsSnapshot::of_run(hashset_kernel_ms, bitset_kernel_ms, &latency)
 }
 
 /// Renders an executors snapshot as the human-readable trajectory
@@ -182,16 +152,11 @@ pub fn render_executors(s: &ExecutorsSnapshot) -> String {
         "## trajectory: executors\n\n\
          kernel (centralized, {q} queries/pass): HashSet {hk:.2} ms, bitset {bk:.2} ms  \
          -> x{ks:.2} representation win\n\
-         engine (distributed, per-query): sequential {sq:.2} ms, pooled {pq:.2} ms  \
-         -> x{is:.2} intra-query win\n\
-         per-query latency (pooled): p50 {p50:.1} us  p99 {p99:.1} us\n",
+         engine (distributed, per-query latency): p50 {p50:.1} us  p99 {p99:.1} us\n",
         q = s.queries,
         hk = s.hashset_kernel_ms,
         bk = s.bitset_kernel_ms,
         ks = s.kernel_speedup,
-        sq = s.seq_query_ms,
-        pq = s.par_query_ms,
-        is = s.intra_speedup,
         p50 = s.query_p50_us,
         p99 = s.query_p99_us,
     )
@@ -244,9 +209,9 @@ mod tests {
         for _ in 0..10 {
             h.record(50_000);
         }
-        let good = ExecutorsSnapshot::of_run(80.0, 10.0, 40.0, 20.0, &h);
+        let good = ExecutorsSnapshot::of_run(80.0, 10.0, &h);
         assert!(compare(&good, &good.to_json(), 0.2).is_ok());
-        let slow = ExecutorsSnapshot::of_run(80.0, 60.0, 40.0, 20.0, &h);
+        let slow = ExecutorsSnapshot::of_run(80.0, 60.0, &h);
         let err = compare(&slow, &good.to_json(), 0.2).unwrap_err();
         assert!(!err.is_empty());
         assert!(compare(&good, "not json", 0.2).is_err());

@@ -35,11 +35,12 @@
 //! threads (or cloned — clones share the same cache) and serve
 //! concurrent traffic. Three serving features stack on the session:
 //!
-//! * **Parallel batches** — [`SimEngine::query_batch`] fans the batch
-//!   out over a scoped worker pool (`min(cores, batch_len)` workers by
-//!   default, [`SimEngineBuilder::batch_workers`] to override) and
-//!   merges per-query metrics in input order, so batch reports are
-//!   identical regardless of scheduling.
+//! * **Parallel batches** — [`SimEngine::query_batch`] spreads the
+//!   batch's queries over a scoped worker pool (`min(cores, batch_len)`
+//!   workers by default, [`SimEngineBuilder::batch_workers`] to
+//!   override) and merges per-query metrics in input order, so batch
+//!   reports are identical regardless of scheduling. Each query runs
+//!   whole on one worker.
 //! * **Pattern-result cache** — [`Algorithm::Auto`] answers are cached
 //!   under a canonical pattern form (label-preserving renumbering, so
 //!   isomorphic re-submissions hit). A hit records
@@ -328,11 +329,11 @@ impl SimEngineBuilder<'_> {
         self
     }
 
-    /// Worker threads used by [`SimEngine::query_batch`]
-    /// (`0` = auto: one per available core, capped at the batch
-    /// length). `1` forces the sequential path; results are identical
-    /// either way, batches are merely wall-clock faster with more
-    /// workers.
+    /// Worker threads [`SimEngine::query_batch`] spreads a batch's
+    /// queries over (`0` = auto: one per available core, capped at the
+    /// batch length). `1` forces the sequential path; results are
+    /// identical either way, batches are merely wall-clock faster with
+    /// more workers. Single queries ignore it.
     pub fn batch_workers(mut self, workers: usize) -> Self {
         self.batch_workers = workers;
         self
@@ -661,13 +662,6 @@ impl Resolved {
     }
 }
 
-/// A session over one fragmented graph: build once, query many times,
-/// from many threads — `SimEngine` is `Send + Sync`, and clones share
-/// the same pattern-result cache.
-///
-/// Sessions are **mutable**: [`SimEngine::apply_delta`] absorbs a
-/// batch of edge updates in place. Deletions drive distributed
-/// incremental maintenance of the cached answers; insertions
 /// Cumulative serving counters of one engine, shared by clones (one
 /// cell per hosted session no matter how many handles serve it). The
 /// serving layer scrapes these into its per-session metrics; the
@@ -710,7 +704,16 @@ impl EngineStats {
     }
 }
 
-/// conservatively invalidate them and the next query re-plans. Every
+/// A session over one fragmented graph: build once, query many times,
+/// from many threads — `SimEngine` is `Send + Sync`, and clones share
+/// the same pattern-result cache.
+///
+/// Sessions are **mutable**: [`SimEngine::apply_delta`] absorbs a
+/// batch of edge updates in place. Deletions, insertions and mixed
+/// batches all drive distributed incremental maintenance of the
+/// cached answers; the one exception is a `trivial-∅` entry whose
+/// pattern has nodes that cannot reach a cycle of `Q`, which an
+/// insertion batch invalidates so the next query re-plans. Every
 /// delta moves the session to a fresh graph **generation**; cache
 /// entries are keyed under the generation they were computed at, so a
 /// stale hit is impossible even though clones share the cache.
@@ -932,10 +935,7 @@ impl SimEngine {
             self.stats.add_cache_hits(1);
             return Ok(Self::report_from_cache(q, canon, &cached));
         }
-        // A single query gets the whole worker budget for intra-query
-        // (per-fragment) parallelism.
-        let intra = self.effective_workers(snap.frag.num_sites());
-        let mut report = self.run_one(&snap, algorithm, q, intra)?;
+        let mut report = self.run_one(&snap, algorithm, q)?;
         Self::charge_broadcast(&mut report.metrics, &snap.frag, std::iter::once(q));
         if let Some(canon) = canon {
             self.cache_store(&snap, canon, &report);
@@ -977,9 +977,8 @@ impl SimEngine {
                 plan: report.plan,
             });
         }
-        let intra = self.effective_workers(snap.frag.num_sites());
         if self.uses_compressed(&snap, algorithm) {
-            let mut report = self.run_one(&snap, algorithm, q, intra)?;
+            let mut report = self.run_one(&snap, algorithm, q)?;
             Self::charge_broadcast(&mut report.metrics, &snap.frag, std::iter::once(q));
             if let Some(canon) = canon {
                 self.cache_store(&snap, canon, &report);
@@ -998,7 +997,7 @@ impl SimEngine {
             Resolved::Dgpm(cfg) => {
                 let (coord, sites) =
                     dgpm::build_with_mode(&snap.frag, &qa, cfg.clone(), QueryMode::Boolean);
-                let o = self.drive(&snap, &snap.frag, resolved.name(), intra, coord, sites)?;
+                let o = self.drive(&snap, &snap.frag, resolved.name(), coord, sites)?;
                 let b = o
                     .coordinator
                     .boolean
@@ -1009,8 +1008,7 @@ impl SimEngine {
                 (b, o.metrics)
             }
             other => {
-                let (relation, metrics) =
-                    self.run_resolved(&snap, &snap.frag, other, &qa, intra)?;
+                let (relation, metrics) = self.run_resolved(&snap, &snap.frag, other, &qa)?;
                 (relation.is_total(), metrics)
             }
         };
@@ -1058,7 +1056,7 @@ impl SimEngine {
         // cache state (deterministic regardless of worker count).
         // Duplicate patterns within one batch all miss together and
         // all run: hits are defined by the state when the batch
-        // arrived, not by intra-batch scheduling.
+        // arrived, not by scheduling within the batch.
         let mut canons: Vec<Option<CanonicalPattern>> = Vec::with_capacity(n);
         for (i, q) in patterns.iter().enumerate() {
             let (canon, hit) = self.cache_lookup(&snap, algorithm, q);
@@ -1077,12 +1075,9 @@ impl SimEngine {
             .map(|(i, _)| i)
             .collect();
         let workers = self.effective_workers(worklist.len());
-        // Inside a batch the pool is spent *across* entries; each run
-        // keeps `intra = 1` so the two levels never oversubscribe and
-        // a 1-worker batch stays the fully sequential baseline.
         if workers <= 1 {
             for &i in &worklist {
-                slots[i] = Some(self.run_one(&snap, algorithm, &patterns[i], 1));
+                slots[i] = Some(self.run_one(&snap, algorithm, &patterns[i]));
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -1099,7 +1094,7 @@ impl SimEngine {
                             break;
                         }
                         let i = worklist_ref[slot];
-                        let report = self.run_one(snap_ref, algorithm, &patterns[i], 1);
+                        let report = self.run_one(snap_ref, algorithm, &patterns[i]);
                         if tx.send((i, report)).is_err() {
                             break;
                         }
@@ -1561,7 +1556,6 @@ impl SimEngine {
         snap: &GenSnapshot,
         algorithm: &Algorithm,
         q: &Pattern,
-        intra: usize,
     ) -> Result<RunReport, DgsError> {
         let leg = if matches!(algorithm, Algorithm::Auto) {
             snap.compressed_leg()
@@ -1582,8 +1576,7 @@ impl SimEngine {
             ));
             let resolved = Self::resolved_from_choice(choice);
             let qa = Arc::new(q.clone());
-            let (class_relation, metrics) =
-                self.run_resolved(snap, &leg.frag, &resolved, &qa, intra)?;
+            let (class_relation, metrics) = self.run_resolved(snap, &leg.frag, &resolved, &qa)?;
             let relation = leg.graph.expand(&class_relation);
             return Ok(RunReport::assemble(
                 relation,
@@ -1604,7 +1597,7 @@ impl SimEngine {
             ));
         }
         let qa = Arc::new(q.clone());
-        let (relation, metrics) = self.run_resolved(snap, &snap.frag, &resolved, &qa, intra)?;
+        let (relation, metrics) = self.run_resolved(snap, &snap.frag, &resolved, &qa)?;
         Ok(RunReport::assemble(
             relation,
             metrics,
@@ -1694,17 +1687,11 @@ impl SimEngine {
     /// snapshot a concurrent delta has already (or not yet) re-shipped
     /// must not run on the wrong worker graph — both fall back to the
     /// in-process virtual executor.
-    /// `intra` is the intra-query worker budget: the virtual
-    /// executor's Phase-1 site evaluations fan out over up to that
-    /// many threads ([`dgs_net::try_run_pooled`]); reports stay
-    /// bit-identical to an `intra = 1` run. The threaded and socket
-    /// executors are inherently per-site parallel and ignore it.
     fn drive<M, C, S>(
         &self,
         snap: &GenSnapshot,
         frag: &Arc<Fragmentation>,
         algorithm: &'static str,
-        intra: usize,
         coordinator: C,
         sites: Vec<S>,
     ) -> Result<RunOutcome<C, S>, DgsError>
@@ -1720,7 +1707,7 @@ impl SimEngine {
             (ExecutorKind::Socket, _) => (ExecutorKind::Virtual, None),
             (kind, _) => (kind, None),
         };
-        dgs_net::try_run_pooled(kind, &self.cost, cluster, intra, coordinator, sites)
+        dgs_net::try_run(kind, &self.cost, cluster, coordinator, sites)
             .map_err(|e| DgsError::from_exec(algorithm, e))
     }
 
@@ -1732,14 +1719,13 @@ impl SimEngine {
         frag: &Arc<Fragmentation>,
         resolved: &Resolved,
         q: &Arc<Pattern>,
-        intra: usize,
     ) -> Result<(MatchRelation, RunMetrics), DgsError> {
         // One shape per engine: build the actors, run them, take the
         // coordinator's answer.
         macro_rules! drive {
             ($build:expr) => {{
                 let (coord, sites) = $build;
-                let o = self.drive(snap, frag, resolved.name(), intra, coord, sites)?;
+                let o = self.drive(snap, frag, resolved.name(), coord, sites)?;
                 let answer = o
                     .coordinator
                     .answer

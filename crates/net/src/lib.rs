@@ -191,34 +191,9 @@ where
     C: CoordinatorLogic<M> + Send,
     S: SiteLogic<M> + RemoteSpec + Send,
 {
-    try_run_pooled(kind, cost, cluster, 1, coordinator, sites)
-}
-
-/// Like [`try_run`], but fans the per-site start handlers of the
-/// **virtual** executor out over up to `start_workers` threads
-/// ([`VirtualExecutor::with_start_workers`]): intra-query parallelism
-/// for the Phase-1 local evaluations, with bit-identical outcomes.
-/// The threaded executor is already one-thread-per-site and the
-/// socket executor one-process-per-site, so the knob only affects
-/// [`ExecutorKind::Virtual`].
-pub fn try_run_pooled<M, C, S>(
-    kind: ExecutorKind,
-    cost: &CostModel,
-    cluster: Option<&SocketCluster>,
-    start_workers: usize,
-    coordinator: C,
-    sites: Vec<S>,
-) -> Result<RunOutcome<C, S>, ExecError>
-where
-    M: SocketMsg,
-    C: CoordinatorLogic<M> + Send,
-    S: SiteLogic<M> + RemoteSpec + Send,
-{
     match kind {
         ExecutorKind::Threaded => ThreadedExecutor::new(cost.clone()).try_run(coordinator, sites),
-        ExecutorKind::Virtual => Ok(VirtualExecutor::new(cost.clone())
-            .with_start_workers(start_workers)
-            .run(coordinator, sites)),
+        ExecutorKind::Virtual => Ok(VirtualExecutor::new(cost.clone()).run(coordinator, sites)),
         ExecutorKind::Socket => match cluster {
             Some(cluster) => cluster.run(coordinator, sites),
             None => Err(ExecError::Unsupported {

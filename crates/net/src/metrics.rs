@@ -810,14 +810,14 @@ impl SubscribeSnapshot {
 
 /// Format version of [`ExecutorsSnapshot::to_json`]; same bump/refuse
 /// discipline as [`SERVING_SNAPSHOT_VERSION`].
-pub const EXECUTORS_SNAPSHOT_VERSION: u32 = 1;
+pub const EXECUTORS_SNAPSHOT_VERSION: u32 = 2;
 
 /// An executors-area trajectory snapshot (`dgs-bench --area
 /// executors`): the committed-artifact form of the single-query hot
 /// path — bitset kernels vs the old HashSet-of-pairs representation,
-/// and intra-query fragment parallelism vs the sequential site loop.
-/// Written as `BENCH_executors.json` and compared in CI, so the
-/// bitset win is recorded and *stays* won.
+/// and the distributed engine's per-query latency. Written as
+/// `BENCH_executors.json` and compared in CI, so the bitset win is
+/// recorded and *stays* won.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExecutorsSnapshot {
     /// Schema version ([`EXECUTORS_SNAPSHOT_VERSION`]).
@@ -831,17 +831,8 @@ pub struct ExecutorsSnapshot {
     /// `hashset_kernel_ms / bitset_kernel_ms` — the representation
     /// win; gated to stay ≥ 2× (the PR's acceptance target).
     pub kernel_speedup: f64,
-    /// Distributed single-query engine time, sequential site loop
-    /// (1 intra-query worker), milliseconds.
-    pub seq_query_ms: f64,
-    /// Distributed single-query engine time with the intra-query pool,
-    /// milliseconds.
-    pub par_query_ms: f64,
-    /// `seq_query_ms / par_query_ms` — the intra-query parallelism
-    /// win (≈ 1.0 on single-core runners, higher with cores).
-    pub intra_speedup: f64,
-    /// Median per-query latency over the measured stream
-    /// (parallel path), microseconds.
+    /// Median distributed per-query latency over the measured stream,
+    /// microseconds.
     pub query_p50_us: f64,
     /// 99th-percentile per-query latency, microseconds.
     pub query_p99_us: f64,
@@ -855,8 +846,6 @@ impl ExecutorsSnapshot {
     pub fn of_run(
         hashset_kernel_ms: f64,
         bitset_kernel_ms: f64,
-        seq_query_ms: f64,
-        par_query_ms: f64,
         histogram: &LatencyHistogram,
     ) -> ExecutorsSnapshot {
         let us = |ns: u64| ns as f64 / 1_000.0;
@@ -866,9 +855,6 @@ impl ExecutorsSnapshot {
             hashset_kernel_ms,
             bitset_kernel_ms,
             kernel_speedup: ratio(hashset_kernel_ms, bitset_kernel_ms),
-            seq_query_ms,
-            par_query_ms,
-            intra_speedup: ratio(seq_query_ms, par_query_ms),
             query_p50_us: us(histogram.p50()),
             query_p99_us: us(histogram.p99()),
             queries: histogram.count(),
@@ -881,16 +867,12 @@ impl ExecutorsSnapshot {
         format!(
             "{{\n  \"version\": {},\n  \"hashset_kernel_ms\": {:.3},\n  \
              \"bitset_kernel_ms\": {:.3},\n  \"kernel_speedup\": {:.2},\n  \
-             \"seq_query_ms\": {:.3},\n  \"par_query_ms\": {:.3},\n  \
-             \"intra_speedup\": {:.2},\n  \"query_p50_us\": {:.1},\n  \
-             \"query_p99_us\": {:.1},\n  \"queries\": {}\n}}\n",
+             \"query_p50_us\": {:.1},\n  \"query_p99_us\": {:.1},\n  \
+             \"queries\": {}\n}}\n",
             self.version,
             self.hashset_kernel_ms,
             self.bitset_kernel_ms,
             self.kernel_speedup,
-            self.seq_query_ms,
-            self.par_query_ms,
-            self.intra_speedup,
             self.query_p50_us,
             self.query_p99_us,
             self.queries
@@ -919,9 +901,6 @@ impl ExecutorsSnapshot {
             hashset_kernel_ms: num("hashset_kernel_ms")?,
             bitset_kernel_ms: num("bitset_kernel_ms")?,
             kernel_speedup: num("kernel_speedup")?,
-            seq_query_ms: num("seq_query_ms")?,
-            par_query_ms: num("par_query_ms")?,
-            intra_speedup: num("intra_speedup")?,
             query_p50_us: num("query_p50_us")?,
             query_p99_us: num("query_p99_us")?,
             queries: num("queries")? as u64,
@@ -931,14 +910,12 @@ impl ExecutorsSnapshot {
     /// Regression verdicts of `self` (the new run) against `baseline`,
     /// empty when acceptable.
     ///
-    /// Speedups are *ratios measured within one run*, so they are
-    /// robust to runner speed: the kernel speedup is gated against
-    /// both the committed baseline (with `tolerance` slack) and the
-    /// hard 2× representation-win target; the intra-query speedup
-    /// only against the baseline (it is legitimately ≈ 1.0 on
-    /// single-core runners, and the committed envelope says so).
-    /// Absolute per-query latency gets `tolerance` + `latency_floor_us`
-    /// slack like every other snapshot.
+    /// The kernel speedup is a *ratio measured within one run*, so it
+    /// is robust to runner speed: it is gated against both the
+    /// committed baseline (with `tolerance` slack) and the hard 2×
+    /// representation-win target. Absolute per-query latency gets
+    /// `tolerance` + `latency_floor_us` slack like every other
+    /// snapshot.
     pub fn regressions(
         &self,
         baseline: &ExecutorsSnapshot,
@@ -952,26 +929,14 @@ impl ExecutorsSnapshot {
                 self.kernel_speedup
             ));
         }
-        for (name, new, base) in [
-            (
-                "kernel speedup",
-                self.kernel_speedup,
-                baseline.kernel_speedup,
-            ),
-            (
-                "intra-query speedup",
-                self.intra_speedup,
-                baseline.intra_speedup,
-            ),
-        ] {
-            let floor = base / (1.0 + tolerance);
-            if new < floor {
-                out.push(format!(
-                    "{name} {new:.2}x fell below {floor:.2}x (baseline {base:.2}x / {:.0}% \
-                     tolerance)",
-                    tolerance * 100.0
-                ));
-            }
+        let (new, base) = (self.kernel_speedup, baseline.kernel_speedup);
+        let floor = base / (1.0 + tolerance);
+        if new < floor {
+            out.push(format!(
+                "kernel speedup {new:.2}x fell below {floor:.2}x (baseline {base:.2}x / {:.0}% \
+                 tolerance)",
+                tolerance * 100.0
+            ));
         }
         for (name, new, base) in [
             ("query p50", self.query_p50_us, baseline.query_p50_us),
@@ -1354,14 +1319,13 @@ mod tests {
         for i in 0..100u64 {
             h.record(1_000_000 + i * 10_000);
         }
-        ExecutorsSnapshot::of_run(80.0, 8.0, 40.0, 16.0, &h)
+        ExecutorsSnapshot::of_run(80.0, 8.0, &h)
     }
 
     #[test]
     fn executors_snapshot_roundtrip() {
         let snap = exec_snapshot();
         assert!((snap.kernel_speedup - 10.0).abs() < 1e-9);
-        assert!((snap.intra_speedup - 2.5).abs() < 1e-9);
         assert_eq!(snap.queries, 100);
         let parsed = ExecutorsSnapshot::parse_json(&snap.to_json()).expect("parses");
         assert_eq!(parsed.version, EXECUTORS_SNAPSHOT_VERSION);
@@ -1373,7 +1337,7 @@ mod tests {
     fn executors_snapshot_rejects_other_versions() {
         let other = exec_snapshot()
             .to_json()
-            .replace("\"version\": 1", "\"version\": 99");
+            .replace("\"version\": 2", "\"version\": 99");
         assert!(ExecutorsSnapshot::parse_json(&other).is_none());
     }
 
@@ -1391,15 +1355,13 @@ mod tests {
         assert_eq!(verdicts.len(), 2, "{verdicts:?}");
         assert!(verdicts[0].contains("2x representation-win target"));
         assert!(verdicts[1].contains("kernel speedup"));
-        // A collapsed intra-query speedup and a blown-up latency fail.
+        // A blown-up latency fails.
         let bad = ExecutorsSnapshot {
-            intra_speedup: 1.0,
             query_p99_us: 1e6,
             ..exec_snapshot()
         };
         let verdicts = bad.regressions(&base, 0.20, 200.0);
-        assert_eq!(verdicts.len(), 2, "{verdicts:?}");
-        assert!(verdicts[0].contains("intra-query speedup"));
-        assert!(verdicts[1].contains("query p99"));
+        assert_eq!(verdicts.len(), 1, "{verdicts:?}");
+        assert!(verdicts[0].contains("query p99"));
     }
 }

@@ -53,17 +53,12 @@ impl<M> Ord for Event<M> {
 pub struct VirtualExecutor {
     cost: CostModel,
     faults: Option<FaultPlan>,
-    start_workers: usize,
 }
 
 impl VirtualExecutor {
     /// Creates an executor with the given cost model.
     pub fn new(cost: CostModel) -> Self {
-        VirtualExecutor {
-            cost,
-            faults: None,
-            start_workers: 1,
-        }
+        VirtualExecutor { cost, faults: None }
     }
 
     /// Enables deterministic at-least-once fault injection: the
@@ -74,26 +69,12 @@ impl VirtualExecutor {
         self
     }
 
-    /// Fans the per-site `on_start` handlers (the Phase-1 local
-    /// evaluations, by far the heaviest handlers of the dGPM family)
-    /// out over up to `workers` OS threads. The outboxes are replayed
-    /// in site order on the driving thread afterwards, so sequence
-    /// numbers, the event heap and every virtual quantity are
-    /// bit-identical to the sequential executor — this is host
-    /// parallelism *under* the virtual clock, not a semantic change.
-    /// `workers <= 1` (and single-site runs) keep the fully
-    /// sequential path.
-    pub fn with_start_workers(mut self, workers: usize) -> Self {
-        self.start_workers = workers.max(1);
-        self
-    }
-
     /// Runs the protocol to completion; see [`crate::run`].
     pub fn run<M, C, S>(&self, mut coordinator: C, mut sites: Vec<S>) -> RunOutcome<C, S>
     where
-        M: WireSize + Clone + Send,
+        M: WireSize + Clone,
         C: CoordinatorLogic<M>,
-        S: SiteLogic<M> + Send,
+        S: SiteLogic<M>,
     {
         let n = sites.len();
         let wall_start = Instant::now();
@@ -181,48 +162,12 @@ impl VirtualExecutor {
                 &mut metrics,
             );
         }
-        // Site start handlers: optionally evaluated on a scoped pool
-        // (disjoint `&mut` sites handed out via a shared work queue),
-        // then *replayed* strictly in site order so seq assignment —
-        // and with it the whole event schedule — matches the
-        // sequential path bit for bit.
-        let workers = self.start_workers.min(n);
-        let start_outs: Vec<Outbox<M>> = if workers > 1 {
-            let mut slots: Vec<Option<Outbox<M>>> = (0..n).map(|_| None).collect();
-            {
-                let jobs =
-                    std::sync::Mutex::new(sites.iter_mut().zip(slots.iter_mut()).enumerate());
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let job = jobs.lock().unwrap().next();
-                            let Some((i, (site, slot))) = job else { break };
-                            let ep = Endpoint::Site(i as u32);
-                            let mut out = Outbox::new(ep, n);
-                            site.on_start(&mut out);
-                            *slot = Some(out);
-                        });
-                    }
-                });
-            }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every start job ran"))
-                .collect()
-        } else {
-            sites
-                .iter_mut()
-                .enumerate()
-                .map(|(i, site)| {
-                    let mut out = Outbox::new(Endpoint::Site(i as u32), n);
-                    site.on_start(&mut out);
-                    out
-                })
-                .collect()
-        };
-        for (i, out) in start_outs.into_iter().enumerate() {
+        for (i, site) in sites.iter_mut().enumerate() {
+            let ep = Endpoint::Site(i as u32);
+            let mut out = Outbox::new(ep, n);
+            site.on_start(&mut out);
             finish(
-                Endpoint::Site(i as u32),
+                ep,
                 0,
                 0,
                 out,
@@ -529,52 +474,6 @@ mod tests {
         assert_eq!(outcome.metrics.result_messages, 4);
         for s in &outcome.sites {
             assert_eq!(s.received, 3);
-        }
-    }
-
-    /// The pooled start path must be bit-identical to the sequential
-    /// one: same metrics, same message arrival order at the
-    /// coordinator, same virtual clock.
-    #[test]
-    fn pooled_start_is_bit_identical_to_sequential() {
-        struct StartSite {
-            id: u32,
-        }
-        impl SiteLogic<u32> for StartSite {
-            fn on_start(&mut self, out: &mut Outbox<u32>) {
-                // Uneven work so threads genuinely finish out of order.
-                out.charge_ops(1 + 997 * (self.id as u64 % 5));
-                out.send(Endpoint::Coordinator, self.id);
-                if self.id.is_multiple_of(2) {
-                    out.send_control(Endpoint::Coordinator, 1_000 + self.id);
-                }
-            }
-            fn on_message(&mut self, _f: Endpoint, _m: u32, _o: &mut Outbox<u32>) {}
-        }
-        struct Collect {
-            seen: Vec<u32>,
-        }
-        impl CoordinatorLogic<u32> for Collect {
-            fn on_start(&mut self, _out: &mut Outbox<u32>) {}
-            fn on_message(&mut self, _f: Endpoint, msg: u32, _o: &mut Outbox<u32>) {
-                self.seen.push(msg);
-            }
-            fn on_quiescent(&mut self, _out: &mut Outbox<u32>) -> bool {
-                true
-            }
-        }
-        let run = |workers: usize| {
-            let exec = VirtualExecutor::new(CostModel::default()).with_start_workers(workers);
-            let mut outcome = exec.run(
-                Collect { seen: Vec::new() },
-                (0..16).map(|id| StartSite { id }).collect(),
-            );
-            outcome.metrics.wall_time = std::time::Duration::ZERO;
-            (outcome.coordinator.seen, outcome.metrics)
-        };
-        let sequential = run(1);
-        for workers in [2, 4, 16, 64] {
-            assert_eq!(run(workers), sequential, "workers = {workers}");
         }
     }
 

@@ -595,13 +595,14 @@ fn dgsq_socket_executor_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Intra-query parallelism conformance: a single query with the full
-/// intra-query worker budget must be **byte-identical** to the fully
-/// sequential run — same relation, same plan choice, same virtual
-/// metrics (only `wall_time` is real time) — and equal to the
-/// centralized oracle, on every engine and under every executor.
+/// Every engine on one 6-site session: the virtual executor's answer
+/// equals the centralized oracle and is **byte-identical** across two
+/// independently built sessions — same relation, same plan choice,
+/// same virtual metrics (only `wall_time` is real time). Structure-
+/// gated engines reject the workload with the same error on both, and
+/// the threaded and socket executors agree with the oracle.
 #[test]
-fn intra_query_parallelism_is_bit_identical() {
+fn every_engine_is_exact_and_reproducible_on_one_session() {
     let g = random::uniform(600, 2_400, 5, 77);
     let q = patterns::random_cyclic(4, 8, 5, 78);
     let k = 6;
@@ -609,60 +610,54 @@ fn intra_query_parallelism_is_bit_identical() {
     let frag = Arc::new(Fragmentation::build(&g, &assign, k));
     let oracle = hhk_simulation(&q, &g);
 
-    let build = |workers: usize, kind: ExecutorKind| {
+    let build = |kind: ExecutorKind| {
         SimEngine::builder(&g, Arc::clone(&frag))
             .executor(kind)
             .cache(false)
-            .batch_workers(workers)
             .build()
     };
-    let seq = build(1, ExecutorKind::Virtual);
-    for workers in [2, k, 32] {
-        let par = build(workers, ExecutorKind::Virtual);
-        for algo in [
-            Algorithm::dgpm(),
-            Algorithm::dgpm_nopt(),
-            Algorithm::Dgpmd,
-            Algorithm::Dgpms,
-            Algorithm::Dgpmt,
-            Algorithm::MatchCentral,
-            Algorithm::DisHhk,
-            Algorithm::DMes,
-            Algorithm::Auto,
-        ] {
-            let (a, b) = match (seq.query_with(&algo, &q), par.query_with(&algo, &q)) {
-                (Ok(a), Ok(b)) => (a, b),
-                // Structure-gated engines reject this workload the
-                // same way on both paths.
-                (Err(ea), Err(eb)) => {
-                    assert_eq!(format!("{ea}"), format!("{eb}"));
-                    continue;
-                }
-                (a, b) => panic!("diverging outcomes: {:?} vs {:?}", a.is_err(), b.is_err()),
-            };
-            assert_eq!(a.relation, oracle.relation, "{}", a.algorithm);
-            assert_eq!(a.relation, b.relation, "{}", a.algorithm);
-            assert_eq!(a.algorithm, b.algorithm);
-            let mut ma = a.metrics.clone();
-            let mut mb = b.metrics.clone();
-            ma.wall_time = Duration::ZERO;
-            mb.wall_time = Duration::ZERO;
-            assert_eq!(
-                ma, mb,
-                "virtual metrics must be bit-identical ({})",
-                a.algorithm
-            );
-        }
+    let first = build(ExecutorKind::Virtual);
+    let second = build(ExecutorKind::Virtual);
+    for algo in [
+        Algorithm::dgpm(),
+        Algorithm::dgpm_nopt(),
+        Algorithm::Dgpmd,
+        Algorithm::Dgpms,
+        Algorithm::Dgpmt,
+        Algorithm::MatchCentral,
+        Algorithm::DisHhk,
+        Algorithm::DMes,
+        Algorithm::Auto,
+    ] {
+        let (a, b) = match (first.query_with(&algo, &q), second.query_with(&algo, &q)) {
+            (Ok(a), Ok(b)) => (a, b),
+            // Structure-gated engines reject this workload the
+            // same way on both sessions.
+            (Err(ea), Err(eb)) => {
+                assert_eq!(format!("{ea}"), format!("{eb}"));
+                continue;
+            }
+            (a, b) => panic!("diverging outcomes: {:?} vs {:?}", a.is_err(), b.is_err()),
+        };
+        assert_eq!(a.relation, oracle.relation, "{}", a.algorithm);
+        assert_eq!(a.relation, b.relation, "{}", a.algorithm);
+        assert_eq!(a.algorithm, b.algorithm);
+        let mut ma = a.metrics.clone();
+        let mut mb = b.metrics.clone();
+        ma.wall_time = Duration::ZERO;
+        mb.wall_time = Duration::ZERO;
+        assert_eq!(
+            ma, mb,
+            "virtual metrics must be bit-identical ({})",
+            a.algorithm
+        );
     }
 
-    // The threaded and socket executors are already per-site parallel;
-    // the worker budget must not change their answers either.
-    let thr = build(k, ExecutorKind::Threaded);
+    let thr = build(ExecutorKind::Threaded);
     let report = thr.query_with(&Algorithm::dgpm(), &q).unwrap();
     assert_eq!(report.relation, oracle.relation);
     let sock = SimEngine::builder(&g, Arc::clone(&frag))
         .cache(false)
-        .batch_workers(k)
         .build_socket(spawn_cfg(2))
         .expect("socket cluster bootstrap");
     let report = sock.query_with(&Algorithm::dgpm(), &q).unwrap();
