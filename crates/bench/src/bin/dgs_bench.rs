@@ -3,22 +3,24 @@
 //! ```text
 //! dgs-bench --area executors|update|serving
 //!           [--json FILE] [--baseline FILE] [--test]
-//!           [--nodes N] [--queries N] [--seed S] [--iters N]
 //! ```
 //!
 //! `--area executors` re-measures the single-query hot path (bitset
 //! kernels vs the HashSet reference, distributed per-query latency),
-//! prints the trajectory report, and with `--json` writes the
-//! versioned `BENCH_executors.json` artifact.
-//! `--baseline FILE` compares the fresh run against a committed
-//! snapshot and **exits nonzero** when any measure regressed more
-//! than 20% past the envelope — this is the CI gate.
+//! prints the trajectory report, and with `--json` writes it as an
+//! `executors` bench record (the `BENCH_executors.json` artifact).
+//! `--baseline FILE` gates the fresh run against a committed record
+//! and **exits nonzero** on any verdict; the bounds are the ones the
+//! committed record carries — this is the CI gate. Apart from
+//! `--test`, the workload size is fixed, so a gated run measures the
+//! workload the envelope was taken from.
 //!
 //! `--area update` and `--area serving` run the existing throughput
-//! workloads under the same front door (`--test` shrinks them to CI
-//! smoke size).
+//! workloads under the same front door. `--test` shrinks every area
+//! to CI smoke size.
 
-use dgs_bench::trajectory::{compare, render_executors, run_executors, TrajectoryConfig};
+use dgs_bench::trajectory::{render_executors, run_executors, TrajectoryConfig};
+use dgs_net::BenchRecord;
 use std::path::PathBuf;
 
 struct Args {
@@ -26,10 +28,6 @@ struct Args {
     json: Option<PathBuf>,
     baseline: Option<PathBuf>,
     test: bool,
-    nodes: Option<usize>,
-    queries: Option<usize>,
-    seed: Option<u64>,
-    iters: Option<usize>,
 }
 
 fn parse_args() -> Args {
@@ -38,10 +36,6 @@ fn parse_args() -> Args {
         json: None,
         baseline: None,
         test: false,
-        nodes: None,
-        queries: None,
-        seed: None,
-        iters: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -54,14 +48,10 @@ fn parse_args() -> Args {
             "--json" => out.json = Some(PathBuf::from(val("--json"))),
             "--baseline" => out.baseline = Some(PathBuf::from(val("--baseline"))),
             "--test" => out.test = true,
-            "--nodes" => out.nodes = val("--nodes").parse().ok(),
-            "--queries" => out.queries = val("--queries").parse().ok(),
-            "--seed" => out.seed = val("--seed").parse().ok(),
-            "--iters" => out.iters = val("--iters").parse().ok(),
             "--help" | "-h" => {
                 println!(
-                    "dgs-bench --area executors|update|serving [--json FILE] [--baseline FILE]\n\
-                     \x20         [--test] [--nodes N] [--queries N] [--seed S] [--iters N]"
+                    "dgs-bench --area executors|update|serving [--json FILE] [--baseline FILE] \
+                     [--test]"
                 );
                 std::process::exit(0);
             }
@@ -72,31 +62,19 @@ fn parse_args() -> Args {
 }
 
 fn run_executors_area(args: &Args) {
-    let mut cfg = if args.test {
+    let cfg = if args.test {
         TrajectoryConfig::smoke()
     } else {
         TrajectoryConfig::default()
     };
-    if let Some(n) = args.nodes {
-        cfg.nodes = n;
-    }
-    if let Some(q) = args.queries {
-        cfg.queries = q;
-    }
-    if let Some(s) = args.seed {
-        cfg.seed = s;
-    }
-    if let Some(i) = args.iters {
-        cfg.kernel_iters = i;
-    }
 
-    let snap = run_executors(&cfg);
-    print!("{}", render_executors(&snap));
+    let record = run_executors(&cfg);
+    print!("{}", render_executors(&record));
     println!();
 
     if let Some(path) = &args.json {
-        match std::fs::write(path, snap.to_json()) {
-            Ok(()) => println!("executors snapshot -> {}", path.display()),
+        match std::fs::write(path, record.to_json()) {
+            Ok(()) => println!("executors record -> {}", path.display()),
             Err(e) => {
                 eprintln!("error: could not write {}: {e}", path.display());
                 std::process::exit(1);
@@ -104,20 +82,23 @@ fn run_executors_area(args: &Args) {
         }
     }
     if let Some(path) = &args.baseline {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: could not read baseline {}: {e}", path.display());
-            std::process::exit(1);
-        });
-        match compare(&snap, &baseline, 0.20) {
-            Ok(()) => println!("within envelope of {}", path.display()),
-            Err(verdicts) => {
-                eprintln!("REGRESSION against {}:", path.display());
-                for v in verdicts {
-                    eprintln!("  - {v}");
-                }
+        let baseline = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| BenchRecord::parse_json(&text))
+            .unwrap_or_else(|e| {
+                eprintln!("error: baseline {}: {e}", path.display());
                 std::process::exit(1);
-            }
+            });
+        let verdicts = record.gate(&baseline);
+        if verdicts.is_empty() {
+            println!("within envelope of {}", path.display());
+            return;
         }
+        eprintln!("REGRESSION against {}:", path.display());
+        for v in verdicts {
+            eprintln!("  - {v}");
+        }
+        std::process::exit(1);
     }
 }
 

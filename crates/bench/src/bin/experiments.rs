@@ -2,7 +2,7 @@
 //! paper's evaluation section.
 //!
 //! ```text
-//! experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--json FILE] [IDS...]
+//! experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--plots] [IDS...]
 //!
 //!   IDS:  all (default) | exp1 | exp2 | exp3 |
 //!         fig6a..fig6p (a pair id runs its sweep once) |
@@ -11,10 +11,8 @@
 //!
 //! Results print as paper-style tables and are also written as CSVs
 //! under `--out` (default `results/`). The `serving` id runs the
-//! in-process serving benchmark (batch parallelism + warm cache) and,
-//! with `--json FILE`, writes its cold-stream latency/throughput as a
-//! versioned `ServingSnapshot` (the `BENCH_serving.json` artifact
-//! format also emitted by `dgsload --json`).
+//! in-process serving benchmark (batch parallelism + warm cache) and
+//! prints its cold and warm per-query latency.
 
 use dgs_bench::figures::{self, Sweep};
 use dgs_bench::{print_sweep, write_csv, Workloads};
@@ -27,7 +25,6 @@ struct Args {
     out: PathBuf,
     ids: BTreeSet<String>,
     plots: bool,
-    json: Option<PathBuf>,
 }
 
 fn parse_args() -> Args {
@@ -35,7 +32,6 @@ fn parse_args() -> Args {
     let mut out = PathBuf::from("results");
     let mut ids = BTreeSet::new();
     let mut plots = false;
-    let mut json = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -63,12 +59,9 @@ fn parse_args() -> Args {
             "--plots" => {
                 plots = true;
             }
-            "--json" => {
-                json = Some(PathBuf::from(args.next().expect("--json requires a path")));
-            }
             "--help" | "-h" => {
                 println!(
-                    "experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--plots] [--json FILE] [IDS...]\n\
+                    "experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--plots] [IDS...]\n\
                      ids: all exp1 exp2 exp3 fig6a..fig6p table1 imp-rt imp-ds tree\n\
                           abl-push abl-incr abl-scc abl-straggler abl-faults abl-compress serving"
                 );
@@ -88,7 +81,6 @@ fn parse_args() -> Args {
         out,
         ids,
         plots,
-        json,
     }
 }
 
@@ -176,12 +168,9 @@ fn run_table1(w: &Workloads) {
     println!();
 }
 
-/// The `serving` id: the in-process serving benchmark, with the cold
-/// per-query stream exported as a `ServingSnapshot` when `--json` is
-/// given.
-fn run_serving_bench(args: &Args) {
+/// The `serving` id: the in-process serving benchmark.
+fn run_serving_bench() {
     use dgs_bench::serving::{run_serving, ServingConfig};
-    use dgs_net::ServingSnapshot;
 
     let report = run_serving(&ServingConfig::default());
     let us = |ns: u64| ns as f64 / 1_000.0;
@@ -208,18 +197,6 @@ fn run_serving_bench(args: &Args) {
         us(report.cached_latency.p99())
     );
     println!();
-    if let Some(path) = &args.json {
-        // Single-stream throughput: the cold pass is one thread, so
-        // elapsed is the sum of per-query latencies.
-        let completed = report.latency.count();
-        let elapsed_secs = completed as f64 * report.latency.mean() / 1e9;
-        let snap = ServingSnapshot::of_run(&report.latency, completed, 0, elapsed_secs);
-        match std::fs::write(path, snap.to_json()) {
-            Ok(()) => println!("serving snapshot -> {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-        println!();
-    }
 }
 
 fn main() {
@@ -234,7 +211,7 @@ fn main() {
         run_table1(w);
     }
     if wanted(&args.ids, &["serving"]) {
-        run_serving_bench(&args);
+        run_serving_bench();
     }
     if wanted(&args.ids, &["exp1", "fig6a", "fig6b"]) {
         emit(&args, &figures::exp_dgpm_vary_f(w));

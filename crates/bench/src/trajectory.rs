@@ -13,20 +13,22 @@
 //!   per-query latency on the same stream. Every distributed answer is
 //!   also checked against the centralized kernels, so the trajectory
 //!   run doubles as a conformance pass.
-//!   Emits a versioned [`ExecutorsSnapshot`] (`BENCH_executors.json`).
+//!   Emits an `executors` [`BenchRecord`] (`BENCH_executors.json`).
 //! * `update` — the delta-maintenance throughput streams of
 //!   [`crate::update`].
 //! * `serving` — the shared-session batch/cache workload of
 //!   [`crate::serving`].
 //!
-//! `compare` implements `--baseline`: parse the committed artifact,
-//! collect [`ExecutorsSnapshot::regressions`] verdicts, and let the
-//! binary exit nonzero when any are found.
+//! The binary's `--baseline` gates the record with
+//! [`BenchRecord::gate`] against the committed
+//! `benchmarks/BENCH_executors.json`, which carries the bounds (20% /
+//! 200 µs, kernel speedup ≥ 2× hard).
 
 use crate::serving::mixed_patterns;
 use dgs_graph::generate::random;
 use dgs_graph::{Graph, Pattern};
-use dgs_net::{ExecutorsSnapshot, LatencyHistogram};
+use dgs_net::Better::{Higher, Lower};
+use dgs_net::{BenchRecord, LatencyHistogram};
 use dgs_partition::{hash_partition, Fragmentation};
 use dgs_sim::{hashset_simulation, hhk_simulation};
 use std::sync::Arc;
@@ -109,7 +111,7 @@ fn time_kernel(
 /// distributed per-query latency, with answer-equality asserts
 /// throughout. Panics if any pair of legs disagrees on an answer —
 /// a trajectory number for a wrong answer is worthless.
-pub fn run_executors(cfg: &TrajectoryConfig) -> ExecutorsSnapshot {
+pub fn run_executors(cfg: &TrajectoryConfig) -> BenchRecord {
     let g = random::uniform(cfg.nodes, 4 * cfg.nodes, cfg.labels, cfg.seed);
     let queries = mixed_patterns(cfg.queries, cfg.labels, cfg.seed);
 
@@ -142,48 +144,38 @@ pub fn run_executors(cfg: &TrajectoryConfig) -> ExecutorsSnapshot {
         );
     }
 
-    ExecutorsSnapshot::of_run(hashset_kernel_ms, bitset_kernel_ms, &latency)
+    let speedup = if bitset_kernel_ms > 0.0 {
+        hashset_kernel_ms / bitset_kernel_ms
+    } else {
+        0.0
+    };
+    let us = |ns: u64| ns as f64 / 1e3;
+    let mut r = BenchRecord::new("executors");
+    r.push("hashset_kernel_ms", "ms", Lower, hashset_kernel_ms);
+    r.push("bitset_kernel_ms", "ms", Lower, bitset_kernel_ms);
+    r.push("kernel_speedup", "x", Higher, speedup);
+    r.push("query_p50_us", "us", Lower, us(latency.p50()));
+    r.push("query_p99_us", "us", Lower, us(latency.p99()));
+    r.push("queries", "queries", Higher, latency.count() as f64);
+    r
 }
 
-/// Renders an executors snapshot as the human-readable trajectory
+/// Renders an executors record as the human-readable trajectory
 /// report printed by the binary.
-pub fn render_executors(s: &ExecutorsSnapshot) -> String {
+pub fn render_executors(r: &BenchRecord) -> String {
+    let v = |name: &str| r.value(name).unwrap_or(f64::NAN);
     format!(
         "## trajectory: executors\n\n\
          kernel (centralized, {q} queries/pass): HashSet {hk:.2} ms, bitset {bk:.2} ms  \
          -> x{ks:.2} representation win\n\
          engine (distributed, per-query latency): p50 {p50:.1} us  p99 {p99:.1} us\n",
-        q = s.queries,
-        hk = s.hashset_kernel_ms,
-        bk = s.bitset_kernel_ms,
-        ks = s.kernel_speedup,
-        p50 = s.query_p50_us,
-        p99 = s.query_p99_us,
+        q = v("queries"),
+        hk = v("hashset_kernel_ms"),
+        bk = v("bitset_kernel_ms"),
+        ks = v("kernel_speedup"),
+        p50 = v("query_p50_us"),
+        p99 = v("query_p99_us"),
     )
-}
-
-/// Compares a fresh snapshot against the committed baseline file.
-/// `Ok(())` when within the envelope; `Err` carries one line per
-/// verdict. `tolerance` is relative slack on the within-run ratios
-/// (0.20 = "20% worse than the committed envelope fails CI").
-pub fn compare(
-    snap: &ExecutorsSnapshot,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Result<(), Vec<String>> {
-    let Some(base) = ExecutorsSnapshot::parse_json(baseline_json) else {
-        return Err(vec![
-            "baseline is not a parsable ExecutorsSnapshot (wrong version or corrupt file)".into(),
-        ]);
-    };
-    // 200 µs absolute latency floor: debug-vs-release and runner
-    // jitter dwarf sub-millisecond percentiles.
-    let verdicts = snap.regressions(&base, tolerance, 200.0);
-    if verdicts.is_empty() {
-        Ok(())
-    } else {
-        Err(verdicts)
-    }
 }
 
 #[cfg(test)]
@@ -192,28 +184,14 @@ mod tests {
 
     #[test]
     fn executors_trajectory_is_consistent() {
-        let snap = run_executors(&TrajectoryConfig::smoke());
-        assert_eq!(snap.queries, 6);
-        assert!(snap.hashset_kernel_ms > 0.0);
-        assert!(snap.bitset_kernel_ms > 0.0);
-        assert!(snap.kernel_speedup > 0.0);
-        assert!(snap.query_p99_us >= snap.query_p50_us);
+        let r = run_executors(&TrajectoryConfig::smoke());
+        let v = |name: &str| r.value(name).unwrap();
+        assert_eq!(v("queries"), 6.0);
+        assert!(v("hashset_kernel_ms") > 0.0);
+        assert!(v("bitset_kernel_ms") > 0.0);
+        assert!(v("kernel_speedup") > 0.0);
+        assert!(v("query_p99_us") >= v("query_p50_us"));
         // Round-trips through the committed-artifact form.
-        let back = ExecutorsSnapshot::parse_json(&snap.to_json()).unwrap();
-        assert_eq!(back.queries, snap.queries);
-    }
-
-    #[test]
-    fn compare_flags_regressions() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..10 {
-            h.record(50_000);
-        }
-        let good = ExecutorsSnapshot::of_run(80.0, 10.0, &h);
-        assert!(compare(&good, &good.to_json(), 0.2).is_ok());
-        let slow = ExecutorsSnapshot::of_run(80.0, 60.0, &h);
-        let err = compare(&slow, &good.to_json(), 0.2).unwrap_err();
-        assert!(!err.is_empty());
-        assert!(compare(&good, "not json", 0.2).is_err());
+        assert_eq!(BenchRecord::parse_json(&r.to_json()), Ok(r));
     }
 }

@@ -20,18 +20,20 @@
 //! `--session NAME` routes every client at a named server session,
 //! and `--pipeline D` keeps `D` requests in flight per connection
 //! (wire v3). `--ping 1` swaps queries for `PING`s — the pure
-//! protocol microbenchmark the CI pipelining gate measures. `--json PATH` additionally writes the run as a
-//! versioned `ServingSnapshot` (the `BENCH_serving.json` artifact),
-//! and `--baseline PATH` compares against a committed snapshot,
-//! exiting nonzero when throughput or a latency quantile regressed
-//! more than 20% — that is the CI perf gate.
+//! protocol microbenchmark the CI pipelining gate measures.
+//!
+//! Every mode writes its run as a `BenchRecord` (README
+//! "Performance") with `--json PATH`, and `--baseline PATH` gates the
+//! run against a committed record, exiting nonzero on any verdict. The
+//! bounds live in the baseline file (`benchmarks/BENCH_*.json`), not
+//! here. A load run is a `serving` record, or a `ping` record with
+//! `--ping 1`.
 //!
 //! **Sweep mode** (`--sweep N1,N2,...`) replaces the load run with
 //! the open-loop connection-count sweep: per step it holds that many
 //! connections open, drives a constant-rate `PING` schedule through
-//! at most `--senders` of them, and reports throughput + p99. The
-//! snapshot is a `ConnSweepSnapshot` (the `BENCH_connsweep.json`
-//! artifact); `--json`/`--baseline` gate it the same way.
+//! at most `--senders` of them, and reports throughput + p99 — a
+//! `connsweep` record with per-step metrics such as `p99_us@1000`.
 //!
 //! **Subscribe mode** (`--subscribe 1`) runs the live-subscription
 //! churn experiment instead: `--sessions` sessions are created, each
@@ -40,15 +42,20 @@
 //! delta batches of `--ops` edge ops. Each subscriber reconstructs
 //! the match set from its diffs and checks it against a final
 //! re-query, so the run is self-verifying; the report is diff count
-//! plus delivery-latency percentiles, snapshotted as a
-//! `SubscribeSnapshot` (the `BENCH_subscribe.json` artifact) and
-//! gated by `--json`/`--baseline` the same way.
+//! plus delivery-latency percentiles, a `subscribe` record.
+//!
+//! **Obs mode** (`--obs-on ON.json --obs-off OFF.json`) gates two
+//! `ping` records — the same quiet-ping run against a daemon with
+//! metrics on and one with `--metrics off` — with the same gate, the
+//! metrics-off run as the baseline. A ping record carries its own
+//! `p50_us` bound (10%, 25 us slack), because it is gated against its
+//! sibling run rather than a committed envelope.
 
 use dgs_graph::io as gio;
-use dgs_net::{ConnSweepSnapshot, ObsSnapshot, ServingSnapshot, SubscribeSnapshot};
+use dgs_net::BenchRecord;
 use dgs_serve::{
-    run_conn_sweep, run_load, run_subscribe, ConnSweepConfig, LoadConfig, LoadMode, ServeAddr,
-    SubscribeConfig,
+    run_conn_sweep, run_load, run_subscribe, sweep_record, ConnSweepConfig, LoadConfig, LoadMode,
+    ServeAddr, SubscribeConfig,
 };
 use std::collections::HashMap;
 use std::fs::File;
@@ -85,7 +92,6 @@ const ALLOWED: &[&str] = &[
     "ops",
     "obs-on",
     "obs-off",
-    "max-overhead",
 ];
 
 fn usage() -> ! {
@@ -93,48 +99,71 @@ fn usage() -> ! {
         "usage:\n  dgsload --addr tcp:HOST:PORT|unix:/PATH.sock [--clients N] [--requests R]\n          \
          [--mode closed|open] [--rate RPS] [--batch B] [--deltas EVERY]\n          \
          [--pattern FILE[,FILE...]] [--seed S] [--session NAME] [--pipeline D]\n          \
-         [--ping 1] [--json SNAPSHOT.json] [--baseline SNAPSHOT.json]\n  \
+         [--ping 1] [--json RECORD.json] [--baseline RECORD.json]\n  \
          dgsload --addr ADDR --sweep N1,N2,... [--rate RPS] [--requests R] [--senders N]\n          \
-         [--json SNAPSHOT.json] [--baseline SNAPSHOT.json]   (connection-count sweep)\n  \
+         [--json RECORD.json] [--baseline RECORD.json]   (connection-count sweep)\n  \
          dgsload --addr ADDR --subscribe 1 [--sessions N] [--subscribers N] [--nodes N]\n          \
-         [--batches N] [--ops N] [--seed S] [--json SNAPSHOT.json] [--baseline SNAPSHOT.json]\n          \
+         [--batches N] [--ops N] [--seed S] [--json RECORD.json] [--baseline RECORD.json]\n          \
          (live-subscription churn: writer storms one session, subscribers verify the diff stream)\n  \
-         dgsload --obs-on ON.json --obs-off OFF.json [--json BENCH_obs.json] [--max-overhead PCT]\n          \
-         (gate the instrumentation overhead between two quiet-ping serving snapshots)"
+         dgsload --obs-on ON.json --obs-off OFF.json\n          \
+         (gate the instrumentation overhead between two quiet-ping records)"
     );
     exit(2);
 }
 
-/// `dgsload --obs-on/--obs-off`: compare two quiet-ping serving
-/// snapshots — one taken against a daemon with metrics on, one with
-/// `--metrics off` — and gate the instrumentation overhead (the
-/// `BENCH_obs.json` artifact).
-fn run_obs_mode(flags: &HashMap<String, String>) -> ! {
-    let read = |key: &str| {
-        let path = flags
-            .get(key)
-            .unwrap_or_else(|| fail(&format!("--{key} SNAPSHOT.json required in obs mode")));
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        ServingSnapshot::parse_json(&text)
-            .unwrap_or_else(|| fail(&format!("{path}: not a serving snapshot this build reads")))
-    };
-    let on = read("obs-on");
-    let off = read("obs-off");
-    let snapshot = ObsSnapshot::of_runs(&on, &off);
-    println!(
-        "dgsload: instrumentation overhead — p50 {:.1} us (metrics on) vs {:.1} us (off): {:+.2}%",
-        snapshot.p50_on_us, snapshot.p50_off_us, snapshot.overhead_pct
-    );
+/// Reads a bench record, or exits naming the problem.
+fn read_record(path: &str) -> BenchRecord {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    BenchRecord::parse_json(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+}
+
+/// `--json` writes `record`; `--baseline` gates it. Returns whether
+/// the gate found a regression.
+fn write_and_gate(flags: &HashMap<String, String>, record: &BenchRecord) -> bool {
     if let Some(path) = flags.get("json") {
-        std::fs::write(path, snapshot.to_json())
+        std::fs::write(path, record.to_json())
             .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        println!("  snapshot written to {path}");
+        println!("  record written to {path}");
     }
-    let max_pct: f64 = num(flags, "max-overhead", 10.0);
-    let verdicts = snapshot.gate(max_pct, 25.0);
+    let Some(path) = flags.get("baseline") else {
+        return false;
+    };
+    let verdicts = record.gate(&read_record(path));
     if verdicts.is_empty() {
-        println!("  within the {max_pct:.0}% overhead gate");
+        println!("  baseline {path}: within tolerance");
+    }
+    for v in &verdicts {
+        eprintln!("dgsload: REGRESSION vs {path}: {v}");
+    }
+    !verdicts.is_empty()
+}
+
+/// `dgsload --obs-on/--obs-off`: gate the quiet-ping record taken
+/// against a daemon with metrics on against the one taken with
+/// `--metrics off`.
+fn run_obs_mode(flags: &HashMap<String, String>) -> ! {
+    if let Some(other) = flags.keys().find(|k| !k.starts_with("obs-")) {
+        fail(&format!("--{other} does not apply with --obs-on/--obs-off"));
+    }
+    let read = |key: &str| {
+        read_record(
+            flags
+                .get(key)
+                .unwrap_or_else(|| fail(&format!("--{key} RECORD.json required in obs mode"))),
+        )
+    };
+    let (on, off) = (read("obs-on"), read("obs-off"));
+    if let (Some(a), Some(b)) = (on.value("p50_us"), off.value("p50_us")) {
+        println!(
+            "dgsload: instrumentation overhead — p50 {a:.1} us (metrics on) vs {b:.1} us (off): \
+             {:+.2}%",
+            (a - b) / b * 100.0
+        );
+    }
+    let verdicts = on.gate(&off);
+    if verdicts.is_empty() {
+        println!("  within the overhead bound");
         exit(0);
     }
     for v in &verdicts {
@@ -143,8 +172,7 @@ fn run_obs_mode(flags: &HashMap<String, String>) -> ! {
     exit(1);
 }
 
-/// `dgsload --subscribe`: the live-subscription churn run, with its
-/// own snapshot artifact and regression gate.
+/// `dgsload --subscribe`: the live-subscription churn run.
 fn run_subscribe_mode(flags: &HashMap<String, String>, addr: ServeAddr) -> ! {
     let cfg = SubscribeConfig {
         addr,
@@ -179,31 +207,7 @@ fn run_subscribe_mode(flags: &HashMap<String, String>, addr: ServeAddr) -> ! {
         ms(h.p99()),
         ms(h.max())
     );
-    let snapshot = SubscribeSnapshot::of_run(h, report.diffs, report.batches, report.errors);
-    if let Some(path) = flags.get("json") {
-        std::fs::write(path, snapshot.to_json())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        println!("  snapshot written to {path}");
-    }
-    let mut regressed = false;
-    if let Some(path) = flags.get("baseline") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}")));
-        let baseline = SubscribeSnapshot::parse_json(&text).unwrap_or_else(|| {
-            fail(&format!(
-                "{path}: not a subscription snapshot this build reads"
-            ))
-        });
-        let verdicts = snapshot.regressions(&baseline, 0.25, 2000.0);
-        if verdicts.is_empty() {
-            println!("  baseline {path}: within tolerance");
-        } else {
-            for v in &verdicts {
-                eprintln!("dgsload: REGRESSION vs {path}: {v}");
-            }
-            regressed = true;
-        }
-    }
+    let regressed = write_and_gate(flags, &report.record());
     if report.errors > 0 {
         eprintln!("dgsload: {} subscription errors", report.errors);
         exit(1);
@@ -211,8 +215,7 @@ fn run_subscribe_mode(flags: &HashMap<String, String>, addr: ServeAddr) -> ! {
     exit(i32::from(regressed));
 }
 
-/// `dgsload --sweep`: the connection-count sweep, with its own
-/// snapshot artifact and regression gate.
+/// `dgsload --sweep`: the connection-count sweep.
 fn run_sweep_mode(flags: &HashMap<String, String>, addr: ServeAddr, spec: &str) -> ! {
     let steps: Vec<usize> = spec
         .split(',')
@@ -239,39 +242,16 @@ fn run_sweep_mode(flags: &HashMap<String, String>, addr: ServeAddr, spec: &str) 
         "dgsload: connection sweep over {:?} ({:.0} req/s open loop, {} requests/step, <= {} senders)",
         cfg.steps, cfg.rate, cfg.requests_per_step, cfg.active_senders
     );
-    let snapshot = run_conn_sweep(&cfg).unwrap_or_else(|e| fail(&e.to_string()));
+    let steps = run_conn_sweep(&cfg).unwrap_or_else(|e| fail(&e.to_string()));
     let mut errored = false;
-    for s in &snapshot.steps {
+    for s in &steps {
         println!(
             "  {:>6} conns: {:>8.1} req/s  p99 {:>9.1} us  ({} completed, {} errors)",
             s.connections, s.throughput, s.p99_us, s.completed, s.errors
         );
         errored |= s.errors > 0;
     }
-    if let Some(path) = flags.get("json") {
-        std::fs::write(path, snapshot.to_json())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        println!("  snapshot written to {path}");
-    }
-    let mut regressed = false;
-    if let Some(path) = flags.get("baseline") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}")));
-        let baseline = ConnSweepSnapshot::parse_json(&text).unwrap_or_else(|| {
-            fail(&format!(
-                "{path}: not a conn-sweep snapshot this build reads"
-            ))
-        });
-        let verdicts = snapshot.regressions(&baseline, 0.25, 2000.0);
-        if verdicts.is_empty() {
-            println!("  baseline {path}: within tolerance");
-        } else {
-            for v in &verdicts {
-                eprintln!("dgsload: REGRESSION vs {path}: {v}");
-            }
-            regressed = true;
-        }
-    }
+    let regressed = write_and_gate(flags, &sweep_record(&steps));
     if errored {
         eprintln!("dgsload: sweep steps reported errors");
         exit(1);
@@ -429,33 +409,17 @@ fn main() {
         println!("  failed connects: {}", report.failed_connects);
     }
 
-    let snapshot = ServingSnapshot::of_run(
-        h,
-        report.completed,
-        report.errors,
-        report.elapsed.as_secs_f64(),
-    );
-    if let Some(path) = flags.get("json") {
-        std::fs::write(path, snapshot.to_json())
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        println!("  snapshot written to {path}");
+    let mut record = report.record(if cfg.pings { "ping" } else { "serving" });
+    if cfg.pings {
+        // The instrumentation-overhead bound of obs mode: a metrics-on
+        // p50 fails when over max(off·1.1, off + 25 us), i.e. over both
+        // 10% and 25 us past the metrics-off run.
+        let p50 = record
+            .metric_mut("p50_us")
+            .expect("a load record has p50_us");
+        (p50.tolerance, p50.slack) = (Some(0.10), Some(25.0));
     }
-    let mut regressed = false;
-    if let Some(path) = flags.get("baseline") {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}")));
-        let baseline = ServingSnapshot::parse_json(&text)
-            .unwrap_or_else(|| fail(&format!("{path}: not a serving snapshot this build reads")));
-        let verdicts = snapshot.regressions(&baseline, 0.20, 500.0);
-        if verdicts.is_empty() {
-            println!("  baseline {path}: within tolerance");
-        } else {
-            for v in &verdicts {
-                eprintln!("dgsload: REGRESSION vs {path}: {v}");
-            }
-            regressed = true;
-        }
-    }
+    let regressed = write_and_gate(&flags, &record);
     if report.errors > 0 {
         eprintln!("dgsload: {} requests errored", report.errors);
         exit(1);

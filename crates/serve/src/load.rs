@@ -18,7 +18,8 @@ use crate::error::ServeError;
 use crate::proto::{Request, Response, WireAlgorithm};
 use crate::transport::ServeAddr;
 use dgs_graph::{generate::patterns, Pattern};
-use dgs_net::{ConnSweepSnapshot, ConnSweepStep, LatencyHistogram, CONN_SWEEP_SNAPSHOT_VERSION};
+use dgs_net::Better::{Higher, Lower};
+use dgs_net::{BenchRecord, LatencyHistogram};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -117,6 +118,26 @@ impl LoadReport {
         } else {
             self.completed as f64 / secs
         }
+    }
+
+    /// The run as a [`BenchRecord`] of `area` (`serving`, or `ping`
+    /// for a `PING` run): throughput, latency quantiles, and completed
+    /// and errored requests.
+    pub fn record(&self, area: &str) -> BenchRecord {
+        let mut r = BenchRecord::new(area);
+        r.push("throughput_rps", "req/s", Higher, self.throughput());
+        push_quantiles(&mut r, "", &self.histogram);
+        r.push("completed", "requests", Higher, self.completed as f64);
+        r.push("errors", "requests", Lower, self.errors as f64);
+        r
+    }
+}
+
+/// Appends `{prefix}p50_us`, `p95_us` and `p99_us` from a histogram
+/// recorded in nanoseconds.
+fn push_quantiles(r: &mut BenchRecord, prefix: &str, h: &LatencyHistogram) {
+    for (q, ns) in [("p50", h.p50()), ("p95", h.p95()), ("p99", h.p99())] {
+        r.push(&format!("{prefix}{q}_us"), "us", Lower, ns as f64 / 1e3);
     }
 }
 
@@ -399,15 +420,44 @@ impl Default for ConnSweepConfig {
 /// and record throughput and p99. `PING` isolates the serving core —
 /// readiness loop, framing, dispatch — from query cost, which
 /// `BENCH_serving.json` already tracks.
-pub fn run_conn_sweep(cfg: &ConnSweepConfig) -> Result<ConnSweepSnapshot, ServeError> {
-    let mut steps = Vec::with_capacity(cfg.steps.len());
-    for &n in &cfg.steps {
-        steps.push(run_sweep_step(cfg, n)?);
+pub fn run_conn_sweep(cfg: &ConnSweepConfig) -> Result<Vec<ConnSweepStep>, ServeError> {
+    cfg.steps.iter().map(|&n| run_sweep_step(cfg, n)).collect()
+}
+
+/// One step of a connection-count sweep: the server held
+/// `connections` concurrent connections while a bounded subset drove
+/// open-loop traffic.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ConnSweepStep {
+    /// Concurrent connections held open during this step.
+    pub connections: u64,
+    /// Completed requests per second over the step.
+    pub throughput: f64,
+    /// 99th-percentile request latency, microseconds.
+    pub p99_us: f64,
+    /// Requests that completed successfully.
+    pub completed: u64,
+    /// Requests (or connects) that failed.
+    pub errors: u64,
+}
+
+/// A sweep as a `connsweep` [`BenchRecord`]: per step `N`,
+/// `throughput_rps@N`, `p99_us@N`, `completed@N` and `errors@N`, then
+/// `errors` over every step. A committed envelope gates the steps it
+/// lists by name, and the total `errors` catches a failing step it
+/// does not list.
+pub fn sweep_record(steps: &[ConnSweepStep]) -> BenchRecord {
+    let mut r = BenchRecord::new("connsweep");
+    for s in steps {
+        let name = |metric: &str| format!("{metric}@{}", s.connections);
+        r.push(&name("throughput_rps"), "req/s", Higher, s.throughput);
+        r.push(&name("p99_us"), "us", Lower, s.p99_us);
+        r.push(&name("completed"), "requests", Higher, s.completed as f64);
+        r.push(&name("errors"), "requests", Lower, s.errors as f64);
     }
-    Ok(ConnSweepSnapshot {
-        version: CONN_SWEEP_SNAPSHOT_VERSION,
-        steps,
-    })
+    let errors = steps.iter().map(|s| s.errors).sum::<u64>();
+    r.push("errors", "requests", Lower, errors as f64);
+    r
 }
 
 fn run_sweep_step(cfg: &ConnSweepConfig, n: usize) -> Result<ConnSweepStep, ServeError> {
@@ -539,6 +589,19 @@ pub struct SubscribeReport {
     /// -> subscriber decodes the push carrying that generation
     /// (nanoseconds).
     pub histogram: LatencyHistogram,
+}
+
+impl SubscribeReport {
+    /// The run as a `subscribe` [`BenchRecord`]: delivered diffs,
+    /// writer batches, diff-latency quantiles and errors.
+    pub fn record(&self) -> BenchRecord {
+        let mut r = BenchRecord::new("subscribe");
+        r.push("diffs", "diffs", Higher, self.diffs as f64);
+        r.push("batches", "batches", Higher, self.batches as f64);
+        push_quantiles(&mut r, "diff_", &self.histogram);
+        r.push("errors", "errors", Lower, self.errors as f64);
+        r
+    }
 }
 
 /// A batch of raw `(u, v)` edges drawn from a [`ChurnPool`].
