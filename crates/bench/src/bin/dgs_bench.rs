@@ -30,6 +30,13 @@ struct Args {
     test: bool,
 }
 
+/// Prints a named argument error and exits 2 (a usage error, not a
+/// verdict).
+fn fail(msg: &str) -> ! {
+    eprintln!("dgs-bench: {msg}");
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut out = Args {
         area: "executors".into(),
@@ -41,7 +48,7 @@ fn parse_args() -> Args {
     while let Some(a) = args.next() {
         let mut val = |flag: &str| {
             args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
+                .unwrap_or_else(|| fail(&format!("{flag} requires a value")))
         };
         match a.as_str() {
             "--area" => out.area = val("--area").to_ascii_lowercase(),
@@ -55,7 +62,7 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown argument {other} (try --help)"),
+            other => fail(&format!("unknown argument {other} (try --help)")),
         }
     }
     out
@@ -155,9 +162,8 @@ fn main() {
         "executors" => run_executors_area(&args),
         "update" => run_update_area(&args),
         "serving" => run_serving_area(&args),
-        other => {
-            eprintln!("unknown area {other}: expected executors|update|serving");
-            std::process::exit(2);
-        }
+        other => fail(&format!(
+            "unknown area {other}: expected executors|update|serving"
+        )),
     }
 }

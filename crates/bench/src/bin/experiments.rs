@@ -27,6 +27,24 @@ struct Args {
     plots: bool,
 }
 
+/// Prints a named argument error and exits 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("experiments: {msg}");
+    std::process::exit(2);
+}
+
+/// Parses the value that follows `flag`; a missing or malformed value
+/// is a usage error naming the flag.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| fail(&format!("{flag} requires {what}")))
+}
+
 fn parse_args() -> Args {
     let mut workloads = Workloads::default();
     let mut out = PathBuf::from("results");
@@ -35,27 +53,10 @@ fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => {
-                workloads.scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale requires a number");
-            }
-            "--queries" => {
-                workloads.queries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queries requires a count");
-            }
-            "--seed" => {
-                workloads.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires a number");
-            }
-            "--out" => {
-                out = PathBuf::from(args.next().expect("--out requires a path"));
-            }
+            "--scale" => workloads.scale = value(&mut args, "--scale", "a number"),
+            "--queries" => workloads.queries = value(&mut args, "--queries", "a count"),
+            "--seed" => workloads.seed = value(&mut args, "--seed", "a number"),
+            "--out" => out = value(&mut args, "--out", "a path"),
             "--plots" => {
                 plots = true;
             }
@@ -67,7 +68,7 @@ fn parse_args() -> Args {
                 );
                 std::process::exit(0);
             }
-            other if other.starts_with('-') => panic!("unknown flag {other}"),
+            other if other.starts_with('-') => fail(&format!("unknown flag {other} (try --help)")),
             id => {
                 ids.insert(id.to_ascii_lowercase());
             }

@@ -58,23 +58,28 @@
 //! Sessions are **mutable**: [`SimEngine::apply_delta`] absorbs a
 //! [`GraphDelta`] batch in place. The fragmentation is maintained
 //! incrementally (virtual nodes and in-node subscriptions included),
-//! deletion-only batches keep cached answers current through the
-//! distributed incremental update of [`crate::delta`] (the plan then
-//! carries [`PlanExplanation::incremental`]), and batches with
-//! insertions conservatively invalidate. Generation-tagged cache keys
-//! make stale hits impossible; the structural facts and the compressed
-//! leg refresh lazily.
+//! and cached answers stay current through the distributed
+//! incremental update of [`crate::delta`] (the plan then carries
+//! [`PlanExplanation::incremental`]). Generation-tagged cache keys
+//! make stale hits impossible.
+//!
+//! As in the paper's model, the fragmentation *is* the graph: every
+//! edge lives in the fragment owning its source. The session keeps no
+//! other copy. Each generation derives its graph
+//! ([`Fragmentation::to_graph`]), its structural facts and its
+//! compressed leg from its own fragmentation, once, on first use —
+//! nothing is mirrored or pending, so a delta costs nothing for them.
 //!
 //! ## Snapshot isolation
 //!
 //! The read path is **snapshot-isolated**: every query loads the
-//! current immutable generation snapshot (fragmentation + graph
-//! mirror + planner facts + compressed leg) with a single `Arc` clone
-//! and runs entirely against it, while `apply_delta` builds the next
-//! generation off the read path and publishes it with one pointer
-//! swap. Queries therefore never block behind a writer, and every
-//! answer is computed at exactly one generation — a concurrent delta
-//! can never tear a reader. `apply_delta` and
+//! current immutable generation snapshot (the fragmentation plus what
+//! derives from it) with a single `Arc` clone and runs entirely
+//! against it, while `apply_delta` builds the next generation off the
+//! read path and publishes it with one pointer swap. Queries
+//! therefore never block behind a writer, and every answer is
+//! computed at exactly one generation — a concurrent delta can never
+//! tear a reader. `apply_delta` and
 //! [`SimEngine::cache_invalidate_all`] take `&self`; concurrent
 //! writers serialize against each other only.
 
@@ -87,7 +92,7 @@ use crate::plan::{
     Planner,
 };
 use crate::{baselines, dgpmd, dgpms, dgpmt};
-use dgs_graph::{Graph, GraphBuilder, NodeId, Pattern};
+use dgs_graph::{Graph, Pattern};
 use dgs_net::{
     CoordinatorLogic, CostModel, ExecutorKind, RemoteSpec, RunMetrics, RunOutcome,
     SiteDeltaMetrics, SiteLogic, SocketCluster, SocketConfig, SocketMsg,
@@ -97,7 +102,7 @@ use dgs_sim::{compress_bisim, compress_simeq, CompressedGraph, MatchRelation};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which engine to run.
 #[derive(Clone, Debug)]
@@ -363,9 +368,10 @@ impl SimEngineBuilder<'_> {
     /// the once-per-session cost: `O(|V| + |E|)` for DAG-ness, the
     /// rooted-tree check, fragment connectivity and the SCC
     /// condensation — plus, when [`Self::compress`] is on, the quotient
-    /// graph `Gc` and its fragmentation. The engine keeps its own copy
-    /// of the graph so the session can absorb
-    /// [`SimEngine::apply_delta`] batches later.
+    /// graph `Gc` and its fragmentation. The engine keeps no copy of
+    /// the graph: it holds the fragmentation, which absorbs
+    /// [`SimEngine::apply_delta`] batches and from which every
+    /// generation derives its graph.
     pub fn build(self) -> SimEngine {
         self.build_with_cluster(None)
     }
@@ -385,7 +391,8 @@ impl SimEngineBuilder<'_> {
     /// distributed maintenance runs of [`SimEngine::apply_delta`]
     /// (their per-site counter states must come back into the
     /// session) — and every delta re-ships the session bootstrap so
-    /// later socket runs execute against the mutated graph. The
+    /// later socket runs execute against the mutated graph. A failed
+    /// re-ship fails the delta and leaves the session untouched. The
     /// `Match`/`disHHK`/`dMes` baselines are not socket-remotable and
     /// report a typed [`DgsError::Unsupported`].
     pub fn build_socket(mut self, cfg: SocketConfig) -> Result<SimEngine, DgsError> {
@@ -397,27 +404,17 @@ impl SimEngineBuilder<'_> {
     }
 
     fn build_with_cluster(self, cluster: Option<Arc<SocketCluster>>) -> SimEngine {
+        // Generation 0 derives its graph from the fragmentation like
+        // every later one; only its facts and leg come from the
+        // builder's graph, which is at hand now.
         let facts = GraphFacts::compute(self.graph, &self.frag);
         let leg = self
             .compression
             .map(|method| build_leg(self.graph, &self.frag, method, self.compression_threshold));
         let snapshot = GenSnapshot {
-            generation: 0,
-            frag: self.frag,
-            graph: Mutex::new(GraphState {
-                graph: Arc::new(self.graph.clone()),
-                pending: Vec::new(),
-            }),
-            facts: Mutex::new(FactsState {
-                facts: Arc::new(facts),
-                dirty: false,
-            }),
-            compressed: Mutex::new(CompressedState {
-                method: self.compression,
-                threshold: self.compression_threshold,
-                leg,
-                dirty: false,
-            }),
+            facts: OnceLock::from(Arc::new(facts)),
+            leg: leg.map_or_else(OnceLock::new, OnceLock::from),
+            ..GenSnapshot::new(0, self.frag)
         };
         SimEngine {
             snap: Mutex::new(Arc::new(snapshot)),
@@ -432,12 +429,14 @@ impl SimEngineBuilder<'_> {
             cluster,
             cluster_gen: Arc::new(AtomicU64::new(0)),
             stats: Arc::new(EngineStats::default()),
+            compression: self.compression,
+            compression_threshold: self.compression_threshold,
         }
     }
 }
 
-/// Builds the compressed leg for the current graph (session build
-/// time, and lazily again after a delta marks the leg dirty).
+/// Builds the compressed leg of one generation's graph (at session
+/// build time for generation 0, on first use for later ones).
 fn build_leg(
     graph: &Graph,
     frag: &Arc<Fragmentation>,
@@ -490,17 +489,6 @@ impl CompressedLeg {
     }
 }
 
-/// The session's compression configuration plus its (lazily rebuilt)
-/// leg. A graph delta marks the leg **dirty**; the next query that
-/// wants it rebuilds the quotient from the current graph.
-#[derive(Clone, Debug)]
-struct CompressedState {
-    method: Option<CompressionMethod>,
-    threshold: f64,
-    leg: Option<Arc<CompressedLeg>>,
-    dirty: bool,
-}
-
 /// Persistent maintenance state of one cached entry: the per-site HHK
 /// counter states plus the cumulative incremental-leg accounting.
 #[derive(Debug)]
@@ -511,111 +499,53 @@ struct MaintainedStates {
     maintenance_runs: u64,
 }
 
-/// The session's graph mirror. Deltas append **pending** ops instead
-/// of rebuilding the CSR eagerly — a delete-heavy stream whose
-/// queries are all served from maintained cache entries never needs
-/// the materialized graph at all, so the `O(|G|)` rebuild is deferred
-/// until something (facts recompute, compression rebuild, a caller)
-/// actually asks for it.
-#[derive(Clone, Debug)]
-struct GraphState {
-    graph: Arc<Graph>,
-    pending: Vec<EdgeOp>,
-}
-
-impl GraphState {
-    fn materialize(&mut self) -> Arc<Graph> {
-        if !self.pending.is_empty() {
-            let g = &self.graph;
-            let mut edges: HashSet<(NodeId, NodeId)> = g.edges().collect();
-            for op in self.pending.drain(..) {
-                match op {
-                    EdgeOp::Insert(u, v) => {
-                        edges.insert((u, v));
-                    }
-                    EdgeOp::Delete(u, v) => {
-                        edges.remove(&(u, v));
-                    }
-                }
-            }
-            let mut b = GraphBuilder::with_capacity(g.node_count(), edges.len());
-            for v in g.nodes() {
-                b.add_node(g.label(v));
-            }
-            let mut sorted: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
-            sorted.sort_unstable();
-            for (u, v) in sorted {
-                b.add_edge(u, v);
-            }
-            self.graph = Arc::new(b.build());
-        }
-        Arc::clone(&self.graph)
-    }
-}
-
-/// The planner's structural facts, recomputed lazily after a delta
-/// (cache-served queries never consult them).
-#[derive(Clone, Debug)]
-struct FactsState {
-    facts: Arc<GraphFacts>,
-    dirty: bool,
-}
-
-/// One immutable **generation** of a session: the fragmentation, the
-/// graph mirror, the planner facts and the compressed leg as of one
-/// graph generation. Queries load the current snapshot once (a single
-/// `Arc` clone under a short mutex) and run entirely against it;
-/// [`SimEngine::apply_delta`] builds the *next* snapshot off the read
-/// path and publishes it with one pointer swap — so a writer can never
-/// block or tear a reader, and every answer is computed at exactly one
-/// generation.
+/// One immutable **generation** of a session: its fragmentation and
+/// what derives from it. Queries load the current snapshot once (a
+/// single `Arc` clone under a short mutex) and run entirely against
+/// it; [`SimEngine::apply_delta`] builds the *next* snapshot off the
+/// read path and publishes it with one pointer swap — so a writer can
+/// never block or tear a reader, and every answer is computed at
+/// exactly one generation.
 ///
-/// The graph mirror, facts and compressed leg stay **lazy** inside the
-/// snapshot (interior mutexes guard one-shot rebuilds shared by the
-/// snapshot's readers): a delete-heavy stream served from maintained
-/// cache entries still never pays their `O(|G|)` cost.
+/// The fragmentation **is** the graph (every edge lives in the
+/// fragment owning its source), so the snapshot holds no other copy
+/// of it. The graph, the planner facts and the compressed leg are
+/// derived from `frag` once, on first use, and shared by the
+/// snapshot's readers: a delete-heavy stream served from maintained
+/// cache entries never pays their `O(|G|)` cost.
 #[derive(Debug)]
 struct GenSnapshot {
     generation: u64,
     frag: Arc<Fragmentation>,
-    graph: Mutex<GraphState>,
-    facts: Mutex<FactsState>,
-    compressed: Mutex<CompressedState>,
+    graph: OnceLock<Arc<Graph>>,
+    facts: OnceLock<Arc<GraphFacts>>,
+    /// Set only on sessions built with [`SimEngineBuilder::compress`].
+    leg: OnceLock<Arc<CompressedLeg>>,
 }
 
 impl GenSnapshot {
-    /// This generation's graph (the loaded graph plus every delta
-    /// absorbed up to this generation), materializing pending ops.
+    /// A snapshot of `frag` with nothing derived yet.
+    fn new(generation: u64, frag: Arc<Fragmentation>) -> Self {
+        GenSnapshot {
+            generation,
+            frag,
+            graph: OnceLock::new(),
+            facts: OnceLock::new(),
+            leg: OnceLock::new(),
+        }
+    }
+
+    /// This generation's graph, derived from the fragmentation.
     fn graph(&self) -> Arc<Graph> {
-        self.graph.lock().materialize()
+        Arc::clone(self.graph.get_or_init(|| Arc::new(self.frag.to_graph())))
     }
 
-    /// The planner facts at this generation, rebuilt on first use
-    /// after a delta marked them dirty.
+    /// The planner facts at this generation.
     fn facts(&self) -> Arc<GraphFacts> {
-        let mut state = self.facts.lock();
-        if state.dirty {
-            state.facts = Arc::new(GraphFacts::compute(&self.graph(), &self.frag));
-            state.dirty = false;
-        }
-        Arc::clone(&state.facts)
-    }
-
-    /// The compressed leg at this generation, rebuilding it first when
-    /// a delta marked it dirty. `None` when compression is off.
-    fn compressed_leg(&self) -> Option<Arc<CompressedLeg>> {
-        let mut state = self.compressed.lock();
-        let method = state.method?;
-        if state.dirty || state.leg.is_none() {
-            state.leg = Some(build_leg(
-                &self.graph(),
-                &self.frag,
-                method,
-                state.threshold,
-            ));
-            state.dirty = false;
-        }
-        state.leg.clone()
+        Arc::clone(
+            self.facts
+                .get_or_init(|| Arc::new(GraphFacts::compute(&self.graph(), &self.frag))),
+        )
     }
 
     /// Prefixes a canonical pattern encoding with this snapshot's
@@ -752,6 +682,10 @@ pub struct SimEngine {
     cluster_gen: Arc<AtomicU64>,
     /// Cumulative serving counters, shared by clones.
     stats: Arc<EngineStats>,
+    /// How every generation's compressed leg is built (`None`: no
+    /// leg) and the ratio at which `Auto` queries answer on it.
+    compression: Option<CompressionMethod>,
+    compression_threshold: f64,
 }
 
 impl Clone for SimEngine {
@@ -774,6 +708,8 @@ impl Clone for SimEngine {
             cluster: self.cluster.clone(),
             cluster_gen: Arc::clone(&self.cluster_gen),
             stats: Arc::clone(&self.stats),
+            compression: self.compression,
+            compression_threshold: self.compression_threshold,
         }
     }
 }
@@ -811,9 +747,10 @@ impl SimEngine {
         Arc::clone(&self.snap.lock())
     }
 
-    /// The cached structural facts the planner uses, recomputed
-    /// lazily after an [`Self::apply_delta`] batch (queries served
-    /// from maintained cache entries never pay for them).
+    /// The structural facts the planner uses, computed once per
+    /// generation on first use after an [`Self::apply_delta`] batch
+    /// (queries served from maintained cache entries never pay for
+    /// them).
     pub fn facts(&self) -> Arc<GraphFacts> {
         self.snapshot().facts()
     }
@@ -824,7 +761,8 @@ impl SimEngine {
     }
 
     /// The engine's current graph (the loaded graph plus every applied
-    /// delta), materializing any pending delta ops first.
+    /// delta), derived from the current fragmentation once per
+    /// generation.
     pub fn graph(&self) -> Arc<Graph> {
         self.snapshot().graph()
     }
@@ -885,25 +823,39 @@ impl SimEngine {
         let next = GenSnapshot {
             generation: self.gen_alloc.fetch_add(1, Ordering::SeqCst),
             frag: Arc::clone(&snap.frag),
-            graph: Mutex::new(snap.graph.lock().clone()),
-            facts: Mutex::new(snap.facts.lock().clone()),
-            compressed: Mutex::new(snap.compressed.lock().clone()),
+            graph: snap.graph.clone(),
+            facts: snap.facts.clone(),
+            leg: snap.leg.clone(),
         };
         *self.snap.lock() = Arc::new(next);
     }
 
-    /// The compressed leg built for the session, if any (lazily
-    /// rebuilt after graph deltas).
+    /// The compressed leg built for the session, if any (rebuilt on
+    /// first use after graph deltas).
     pub fn compression_note(&self) -> Option<CompressedNote> {
-        self.snapshot().compressed_leg().map(|leg| leg.note())
+        self.compressed_leg(&self.snapshot()).map(|leg| leg.note())
     }
 
     /// Whether [`Algorithm::Auto`] queries currently answer on `Gc`
     /// (a leg was built and its ratio cleared the threshold).
     pub fn compression_active(&self) -> bool {
-        self.snapshot()
-            .compressed_leg()
+        self.compressed_leg(&self.snapshot())
             .is_some_and(|leg| leg.active)
+    }
+
+    /// `snap`'s compressed leg, built from its graph on first use;
+    /// `None` when the session has no compression.
+    fn compressed_leg(&self, snap: &GenSnapshot) -> Option<Arc<CompressedLeg>> {
+        let method = self.compression?;
+        let leg = snap.leg.get_or_init(|| {
+            build_leg(
+                &snap.graph(),
+                &snap.frag,
+                method,
+                self.compression_threshold,
+            )
+        });
+        Some(Arc::clone(leg))
     }
 
     /// Plans `q` without running it: which engine would serve it, and
@@ -1191,8 +1143,15 @@ impl SimEngine {
     /// query re-evaluates under fresh facts (and a live subscription
     /// falls back to re-query + set-diff, staying exact).
     ///
-    /// The compressed leg, if configured, is marked dirty and lazily
-    /// rebuilt by the next query that wants it.
+    /// The next generation's graph is its fragmentation: nothing is
+    /// mirrored or left pending. Its planner facts and compressed leg
+    /// (if configured) are derived from it by the first query that
+    /// wants them.
+    ///
+    /// On a socket session the workers are re-shipped the new graph
+    /// before anything else changes. If that fails, the delta returns
+    /// the error and the session is untouched: same generation, same
+    /// cache entries and answers, same maintenance states.
     ///
     /// Ops already satisfied (inserting a present edge, deleting an
     /// absent one) are skipped and counted in
@@ -1214,7 +1173,7 @@ impl SimEngine {
         let snap = self.snapshot();
         // Validate and normalize the batch. Presence checks go through
         // the fragmentation (`O(log deg)` per op), so a delta never
-        // forces the graph mirror to materialize.
+        // derives the graph.
         let n = snap.frag.assignment().len() as u32;
         for &(u, v) in delta.insert_edges.iter().chain(&delta.delete_edges) {
             if u.0 >= n || v.0 >= n {
@@ -1268,6 +1227,48 @@ impl SimEngine {
             self.stats.add_deltas(1);
             return Ok(report);
         }
+
+        // Build the **next generation** entirely off the read path: a
+        // fresh fragmentation with the ops applied. Its graph, facts
+        // and compressed leg derive from it on first use — a
+        // delete-heavy stream served from maintained entries never
+        // pays their `O(|G|)` cost.
+        let ops: Vec<EdgeOp> = inserts
+            .iter()
+            .map(|&(u, v)| EdgeOp::Insert(u, v))
+            .chain(deletes.iter().map(|&(u, v)| EdgeOp::Delete(u, v)))
+            .collect();
+        let mut next_frag = (*snap.frag).clone();
+        let frag_stats = next_frag.apply_delta(&ops);
+        let next_frag = Arc::new(next_frag);
+        report.crossing_inserted = frag_stats.crossing_inserts;
+        report.crossing_deleted = frag_stats.crossing_deletes;
+        report.virtuals_created = frag_stats.virtuals_created;
+        report.virtuals_retired = frag_stats.virtuals_retired;
+        let generation = self.gen_alloc.fetch_add(1, Ordering::SeqCst);
+        report.generation = generation;
+        let next = Arc::new(GenSnapshot::new(generation, Arc::clone(&next_frag)));
+
+        // A socket session's workers hold the pre-delta graph: re-ship
+        // the next one. This is the only fallible step, so it runs
+        // before anything of the session changes — a failed re-ship
+        // leaves the maintenance states, the cache and the published
+        // snapshot as they were. While the cluster is being re-shipped
+        // its generation is a sentinel no snapshot carries, so no
+        // query dispatches to a partly re-shipped cluster: queries on
+        // the old snapshot fall back to the in-process executor (see
+        // `drive`), and stay there if the re-ship fails. On success
+        // the cluster generation flips **before** the snapshot
+        // publishes.
+        if let Some(cluster) = &self.cluster {
+            self.cluster_gen.store(u64::MAX, Ordering::SeqCst);
+            let blob = crate::remote::encode_bootstrap(&next.graph(), &next_frag);
+            cluster
+                .rebootstrap(&blob)
+                .map_err(|e| DgsError::from_exec("socket-cluster", e))?;
+            self.cluster_gen.store(generation, Ordering::SeqCst);
+        }
+
         let old_prefix = snap.gen_key(&[]);
 
         // Promote current-generation cache entries to maintenance —
@@ -1321,41 +1322,6 @@ impl SimEngine {
                 promoted.push((canon_key, pattern, entry));
             }
         }
-
-        // Build the **next generation** entirely off the read path:
-        // a fresh fragmentation with the ops applied, the graph mirror
-        // with the ops pending, dirty facts and a dirty compressed leg
-        // (all rebuilt lazily — a delete-heavy stream served from
-        // maintained entries never pays their `O(|G|)` cost).
-        let ops: Vec<EdgeOp> = inserts
-            .iter()
-            .map(|&(u, v)| EdgeOp::Insert(u, v))
-            .chain(deletes.iter().map(|&(u, v)| EdgeOp::Delete(u, v)))
-            .collect();
-        let mut next_frag = (*snap.frag).clone();
-        let frag_stats = next_frag.apply_delta(&ops);
-        let next_frag = Arc::new(next_frag);
-        report.crossing_inserted = frag_stats.crossing_inserts;
-        report.crossing_deleted = frag_stats.crossing_deletes;
-        report.virtuals_created = frag_stats.virtuals_created;
-        report.virtuals_retired = frag_stats.virtuals_retired;
-        let mut graph_state = snap.graph.lock().clone();
-        graph_state.pending.extend_from_slice(&ops);
-        let generation = self.gen_alloc.fetch_add(1, Ordering::SeqCst);
-        report.generation = generation;
-        let next = Arc::new(GenSnapshot {
-            generation,
-            frag: Arc::clone(&next_frag),
-            graph: Mutex::new(graph_state),
-            facts: Mutex::new(FactsState {
-                facts: Arc::clone(&snap.facts.lock().facts),
-                dirty: true,
-            }),
-            compressed: Mutex::new(CompressedState {
-                dirty: true,
-                ..snap.compressed.lock().clone()
-            }),
-        });
 
         // Distributed incremental maintenance per cached entry:
         // revoking the falsified pairs from the stored rows and
@@ -1435,22 +1401,6 @@ impl SimEngine {
                 },
             );
             report.maintained_entries += 1;
-        }
-
-        // A socket session's workers were bootstrapped with the
-        // pre-delta graph: re-ship the session so later runs execute
-        // against the mutated graph (this materializes the graph
-        // mirror — delta batches on socket sessions pay the reship).
-        // The cluster generation flips **before** the snapshot
-        // publishes: in the window between the two, queries still on
-        // the old snapshot fall back to the in-process executor
-        // instead of running on the freshly re-shipped worker graph.
-        if let Some(cluster) = &self.cluster {
-            let blob = crate::remote::encode_bootstrap(&next.graph(), &next_frag);
-            cluster
-                .rebootstrap(&blob)
-                .map_err(|e| DgsError::from_exec("socket-cluster", e))?;
-            self.cluster_gen.store(generation, Ordering::SeqCst);
         }
 
         // Publish: a single pointer swap makes the next generation the
@@ -1544,7 +1494,8 @@ impl SimEngine {
 
     /// Whether this query will be answered on the compressed leg.
     fn uses_compressed(&self, snap: &GenSnapshot, algorithm: &Algorithm) -> bool {
-        matches!(algorithm, Algorithm::Auto) && snap.compressed_leg().is_some_and(|leg| leg.active)
+        matches!(algorithm, Algorithm::Auto)
+            && self.compressed_leg(snap).is_some_and(|leg| leg.active)
     }
 
     /// Resolves and runs one query without the broadcast charge (the
@@ -1558,7 +1509,7 @@ impl SimEngine {
         q: &Pattern,
     ) -> Result<RunReport, DgsError> {
         let leg = if matches!(algorithm, Algorithm::Auto) {
-            snap.compressed_leg()
+            self.compressed_leg(snap)
         } else {
             None
         };
@@ -2177,7 +2128,7 @@ mod tests {
         }
         let g2 = b.build();
         assert_eq!(warm.relation, hhk_simulation(&q, &g2).relation);
-        assert_eq!(engine.graph().edge_count(), g2.edge_count());
+        assert_eq!(*engine.graph(), g2);
     }
 
     #[test]

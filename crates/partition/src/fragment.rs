@@ -23,7 +23,7 @@
 //! valid) but have no edges and no subscribers — they are inert until
 //! a later insertion revives them.
 
-use dgs_graph::{Graph, Label, NodeId};
+use dgs_graph::{Graph, GraphBuilder, Label, NodeId};
 use std::collections::HashMap;
 
 /// A site identifier, `0..fragmentation.num_sites()`.
@@ -628,13 +628,40 @@ impl Fragmentation {
     pub fn fm_size(&self) -> usize {
         self.fragments.iter().map(Fragment::size).max().unwrap_or(0)
     }
+
+    /// The graph `G` this fragmentation holds. The fragments partition
+    /// the nodes and every edge lives in the fragment owning its
+    /// source, so the union of each `Ei` mapped back to global ids is
+    /// exactly `G` — after any number of [`Self::apply_delta`]
+    /// batches. `O(|V| + |E| log |E|)`; the result is canonical
+    /// (built through [`GraphBuilder`]).
+    pub fn to_graph(&self) -> Graph {
+        let mut labels = vec![Label(0); self.assignment.len()];
+        let n_edges = self.fragments.iter().map(Fragment::n_edges).sum();
+        let mut edges = Vec::with_capacity(n_edges);
+        for f in &self.fragments {
+            for i in f.local_indices() {
+                let u = f.global_id(i);
+                labels[u.index()] = f.label(i);
+                edges.extend(f.successors(i).iter().map(|&j| (u, f.global_id(j))));
+            }
+        }
+        let mut b = GraphBuilder::with_capacity(labels.len(), n_edges);
+        for label in labels {
+            b.add_node(label);
+        }
+        for (u, v) in edges {
+            b.add_edge(u, v);
+        }
+        b.build()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dgs_graph::generate::social::fig1;
-    use dgs_graph::GraphBuilder;
+    use dgs_graph::generate::{dag, random};
 
     fn two_site_line() -> (Graph, Fragmentation) {
         // 0 -> 1 -> 2 -> 3 with sites [0, 0, 1, 1].
@@ -921,6 +948,51 @@ mod tests {
         let (_, mut f) = two_site_line();
         f.apply_delta(&[EdgeOp::Insert(NodeId(0), NodeId(1))]);
     }
+
+    /// `g` plus a self-loop on every seventh node.
+    fn with_self_loops(g: &Graph) -> Graph {
+        let mut b = GraphBuilder::with_capacity(g.node_count(), g.edge_count());
+        for v in g.nodes() {
+            b.add_node(g.label(v));
+        }
+        for (u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        for v in g.nodes().step_by(7) {
+            b.add_edge(v, v);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn to_graph_inverts_build() {
+        let plain = [
+            random::uniform(300, 1200, 4, 3),
+            random::web_like(300, 1200, 4, 5),
+            dag::citation_like(300, 900, 4, 7),
+        ];
+        for g in plain.iter().flat_map(|g| [g.clone(), with_self_loops(g)]) {
+            for k in [1, 3, 5] {
+                let assign = crate::hash_partition(g.node_count(), k, 11);
+                assert_eq!(
+                    Fragmentation::build(&g, &assign, k).to_graph(),
+                    g,
+                    "{k} sites"
+                );
+                // One more site than the assignment uses: it stays empty.
+                let with_empty = Fragmentation::build(&g, &assign, k + 1);
+                assert_eq!(with_empty.fragment(k).n_local(), 0);
+                assert_eq!(with_empty.to_graph(), g, "{k} sites + an empty one");
+            }
+        }
+        let (g, f) = two_site_line();
+        assert_eq!(f.to_graph(), g);
+        let w = fig1();
+        assert_eq!(
+            Fragmentation::build(&w.graph, &w.assignment, 3).to_graph(),
+            w.graph
+        );
+    }
 }
 
 /// The retired-slot revival audit: random interleavings of crossing
@@ -934,7 +1006,7 @@ mod tests {
 #[cfg(test)]
 mod delta_proptests {
     use super::*;
-    use dgs_graph::{GraphBuilder, Label, NodeId};
+    use dgs_graph::generate::random;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -1062,7 +1134,9 @@ mod delta_proptests {
             maintained.apply_delta(&[op]);
         }
 
-        let rebuilt = Fragmentation::build(&build_graph(n, &edges, &labels), &assignment, sites);
+        let g_final = build_graph(n, &edges, &labels);
+        assert_eq!(maintained.to_graph(), g_final, "derived graph diverged");
+        let rebuilt = Fragmentation::build(&g_final, &assignment, sites);
         assert_eq!(maintained.vf(), rebuilt.vf(), "|Vf| diverged");
         assert_eq!(maintained.ef(), rebuilt.ef(), "|Ef| diverged");
         assert_eq!(observe(&maintained), observe(&rebuilt));
@@ -1089,6 +1163,80 @@ mod delta_proptests {
                 assert!(!maintained.has_edge(NodeId(u), NodeId(v)));
             }
         }
+    }
+
+    /// The reference for [`Fragmentation::to_graph`] under deltas: the
+    /// graph rebuilt from a `HashSet` of every edge with the ops
+    /// applied to it.
+    #[test]
+    fn to_graph_follows_a_mixed_delta_stream() {
+        let n = 60usize;
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let labels: Vec<Label> = (0..n)
+            .map(|_| Label((xorshift(&mut s) % 3) as u16))
+            .collect();
+        let mut edges: HashSet<(u32, u32)> = HashSet::new();
+        for _ in 0..3 * n {
+            let u = (xorshift(&mut s) % n as u64) as u32;
+            let v = (xorshift(&mut s) % n as u64) as u32;
+            edges.insert((u, v));
+        }
+        let sorted = |edges: &HashSet<(u32, u32)>| edges.iter().copied().collect::<BTreeSet<_>>();
+        let g = build_graph(n, &sorted(&edges), &labels);
+        let assignment = crate::hash_partition(n, 4, 17);
+        let mut frag = Fragmentation::build(&g, &assignment, 4);
+        for batch in 0..300 {
+            // Up to three deletes of present edges, then up to three
+            // inserts of absent ones (self-loops included): the batch
+            // shape `SimEngine::apply_delta` hands down.
+            let mut ops = Vec::new();
+            let mut deleted = Vec::new();
+            for _ in 0..(xorshift(&mut s) % 4) {
+                if edges.is_empty() {
+                    break;
+                }
+                let k = (xorshift(&mut s) % edges.len() as u64) as usize;
+                let e = *sorted(&edges).iter().nth(k).unwrap();
+                edges.remove(&e);
+                deleted.push(e);
+                ops.push(EdgeOp::Delete(NodeId(e.0), NodeId(e.1)));
+            }
+            for _ in 0..(xorshift(&mut s) % 4) {
+                let u = (xorshift(&mut s) % n as u64) as u32;
+                let v = if xorshift(&mut s).is_multiple_of(8) {
+                    u
+                } else {
+                    (xorshift(&mut s) % n as u64) as u32
+                };
+                if !deleted.contains(&(u, v)) && edges.insert((u, v)) {
+                    ops.push(EdgeOp::Insert(NodeId(u), NodeId(v)));
+                }
+            }
+            frag.apply_delta(&ops);
+            let reference = build_graph(n, &sorted(&edges), &labels);
+            assert_eq!(frag.to_graph(), reference, "diverged at batch {batch}");
+        }
+    }
+
+    #[test]
+    fn to_graph_survives_crossing_edge_churn() {
+        let g = random::web_like(200, 800, 4, 23);
+        let assignment = crate::hash_partition(g.node_count(), 3, 23);
+        let (u, v) = g
+            .edges()
+            .find(|&(u, v)| assignment[u.index()] != assignment[v.index()])
+            .expect("a crossing edge");
+        let mut frag = Fragmentation::build(&g, &assignment, 3);
+        for batch in 0..1000 {
+            let op = if batch % 2 == 0 {
+                EdgeOp::Delete(u, v)
+            } else {
+                EdgeOp::Insert(u, v)
+            };
+            frag.apply_delta(&[op]);
+        }
+        assert_eq!(frag.to_graph(), g);
+        assert_eq!(frag.ef(), Fragmentation::build(&g, &assignment, 3).ef());
     }
 
     proptest! {

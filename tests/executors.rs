@@ -429,6 +429,47 @@ fn killed_worker_is_a_typed_error() {
     assert!(matches!(err, DgsError::SiteFailed { .. }), "{err}");
 }
 
+/// A delta whose socket re-ship fails leaves the session untouched:
+/// same generation, same cache entries, and the cached answer still
+/// the pre-delta one. Maintenance runs only after the re-ship, so no
+/// post-delta entry or counter state is left behind the old snapshot.
+#[test]
+fn failed_reship_leaves_the_session_untouched() {
+    let g = random::uniform(80, 320, 4, 29);
+    let assign = hash_partition(g.node_count(), 3, 29);
+    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
+    let engine = SimEngine::builder(&g, frag)
+        .build_socket(spawn_cfg(2).site_timeout(Duration::from_secs(10)))
+        .unwrap();
+    let q = patterns::random_cyclic(3, 5, 4, 29);
+    let oracle = hhk_simulation(&q, &g).relation;
+    assert_eq!(engine.query(&q).unwrap().relation, oracle);
+    let generation = engine.generation();
+    let entries = engine.cache_stats().unwrap().entries;
+    assert_eq!(entries, 1);
+
+    let pids = engine.socket_cluster().unwrap().worker_pids();
+    let status = std::process::Command::new("kill")
+        .args(["-9", &pids[0].to_string()])
+        .status()
+        .expect("kill spawns");
+    assert!(status.success());
+    std::thread::sleep(Duration::from_millis(100));
+
+    let dels: Vec<_> = g.edges().take(10).collect();
+    let err = engine
+        .apply_delta(&GraphDelta::deletions(dels))
+        .expect_err("the re-ship to a dead worker fails the delta");
+    assert!(matches!(err, DgsError::SiteFailed { .. }), "{err}");
+
+    assert_eq!(engine.generation(), generation);
+    assert_eq!(engine.cache_stats().unwrap().entries, entries);
+    let cached = engine.query(&q).unwrap();
+    assert_eq!(cached.metrics.cache_hits, 1);
+    assert_eq!(cached.relation, oracle);
+    assert_eq!(*engine.graph(), g);
+}
+
 /// Attach mode: workers started independently (here: `dgsq worker`
 /// processes we spawn by hand, in production `dgsd --worker`) can be
 /// attached to by address.
